@@ -130,7 +130,8 @@ int main(int argc, char** argv) {
     for (int rep = 0; rep < kReps; ++rep) {
         for (std::size_t i : changed_indices) {
             fs::remove(cache_dir /
-                       (cache::ReportCache::key_for(updated_inputs[i].text) + ".xce"));
+                       (cache::ReportCache::key_for(updated_inputs[i].text, options) +
+                        ".xce"));
         }
         cache::ReportCache warm_cache(cache_options);
         auto start = std::chrono::steady_clock::now();

@@ -63,6 +63,26 @@ std::vector<std::string_view> split_tokens(std::string_view line) {
     return tokens;
 }
 
+/// Canonical rendering of every output-affecting option, in a fixed order.
+/// jobs and batch_progress are left out: reports are identical for any
+/// value of them. JSON escapes class_scope, so distinct option sets never
+/// render alike.
+std::string render_options(const core::AnalyzerOptions& options) {
+    text::Json canonical = text::Json::object();
+    canonical.set("async_heuristic", text::Json(options.async_heuristic));
+    canonical.set("deobfuscate_libraries", text::Json(options.deobfuscate_libraries));
+    canonical.set("max_async_hops",
+                  text::Json(static_cast<std::int64_t>(options.max_async_hops)));
+    canonical.set("class_scope", text::Json(options.class_scope));
+    canonical.set("max_total_steps",
+                  text::Json(static_cast<std::int64_t>(options.max_total_steps)));
+    canonical.set("max_taint_steps",
+                  text::Json(static_cast<std::int64_t>(options.max_taint_steps)));
+    canonical.set("max_sig_steps",
+                  text::Json(static_cast<std::int64_t>(options.max_sig_steps)));
+    return canonical.dump();
+}
+
 }  // namespace
 
 ReportCache::ReportCache(CacheOptions options) : options_(std::move(options)) {
@@ -99,6 +119,17 @@ std::string ReportCache::key_for(std::string_view xapk_text) {
     // pointers — the key must mean the same thing to every process that
     // ever opens this cache directory.
     return support::sha256_hex128(xapk_text);
+}
+
+std::string ReportCache::key_for(std::string_view xapk_text,
+                                 const core::AnalyzerOptions& options) {
+    // The default configuration keeps the bytes-only key, so an entry
+    // written by any default-configured process is found under
+    // key_for(text); any other configuration gets its own key.
+    static const std::string kDefaults = render_options(core::AnalyzerOptions{});
+    std::string rendered = render_options(options);
+    if (rendered == kDefaults) return key_for(xapk_text);
+    return support::sha256_hex128(key_for(xapk_text) + rendered);
 }
 
 std::filesystem::path ReportCache::entry_path(const std::string& key) const {
@@ -404,14 +435,15 @@ struct HitScan {
     std::vector<core::BatchInput> miss_inputs;
 };
 
-HitScan scan_hits(ReportCache* cache, std::vector<core::BatchInput> inputs) {
+HitScan scan_hits(ReportCache* cache, const core::AnalyzerOptions& options,
+                  std::vector<core::BatchInput> inputs) {
     HitScan scan;
     scan.batch.items.resize(inputs.size());
     scan.batch.from_cache.assign(inputs.size(), 0);
     scan.keys.resize(inputs.size());
     for (std::size_t i = 0; i < inputs.size(); ++i) {
         if (cache != nullptr) {
-            scan.keys[i] = ReportCache::key_for(inputs[i].text);
+            scan.keys[i] = ReportCache::key_for(inputs[i].text, options);
             if (std::optional<core::AnalysisReport> report = cache->load(scan.keys[i])) {
                 scan.batch.items[i].file = inputs[i].file;
                 scan.batch.items[i].report = std::move(*report);
@@ -437,21 +469,10 @@ void merge_misses(HitScan& scan, ReportCache* cache,
         std::size_t i = scan.miss_index[j];
         scan.batch.items[i] = std::move(analyzed[j]);
         if (!scan.batch.items[i].ok()) continue;
-        // Per-run counter deltas are snapshot windows of the process-global
-        // metrics registry; whenever analyses overlap — batch --jobs, or
-        // concurrent daemon connections — the windows contaminate each
-        // other, so the values are not a function of the input bytes. A
-        // cached report must be exactly that function, and it is stripped
-        // on the served copy too (not just the stored one) so a cold miss
-        // and its warm replay stay byte-identical. The aggregate registry
-        // (--metrics, --metrics-prom) keeps the exact counts.
-        core::AnalysisReport& report = *scan.batch.items[i].report;
-        report.stats.counters.clear();
-        report.audit.unmodeled_apis.clear();
         // Errors are never cached: a contained failure must re-analyze next
         // time (the failure may be environmental, and serving a stored
         // error for content that now analyzes would be wrong output).
-        if (cache != nullptr) cache->store(scan.keys[i], report);
+        if (cache != nullptr) cache->store(scan.keys[i], *scan.batch.items[i].report);
     }
 }
 
@@ -459,7 +480,7 @@ void merge_misses(HitScan& scan, ReportCache* cache,
 
 CachedBatch analyze_batch_cached(const core::Analyzer& analyzer, ReportCache* cache,
                                  std::vector<core::BatchInput> inputs) {
-    HitScan scan = scan_hits(cache, std::move(inputs));
+    HitScan scan = scan_hits(cache, analyzer.options(), std::move(inputs));
     if (!scan.miss_inputs.empty()) {
         merge_misses(scan, cache, analyzer.analyze_batch(std::move(scan.miss_inputs)));
     }
@@ -469,7 +490,7 @@ CachedBatch analyze_batch_cached(const core::Analyzer& analyzer, ReportCache* ca
 CachedBatch analyze_batch_cached(const core::AnalyzerOptions& options,
                                  ReportCache* cache,
                                  std::vector<core::BatchInput> inputs) {
-    HitScan scan = scan_hits(cache, std::move(inputs));
+    HitScan scan = scan_hits(cache, options, std::move(inputs));
     core::AnalyzerOptions opts = options;
     if (opts.batch_progress) {
         // Rebase progress over the whole batch: hits are already done.

@@ -1,21 +1,15 @@
 // Persistent content-addressed report cache (ROADMAP item 2).
 //
 // Layer 1 of fleet-scale re-analysis: one on-disk entry per *content* of an
-// .xapk input. The key is truncated SHA-256 (128 bits) of the raw
-// serialized text — collision-resistant, because a key collision would make
-// the cache serve one app's report for another app's bytes and no envelope
-// check can catch that; never std::hash and never intern Symbol ids (the
-// PR 7 stability contract: nothing process-local may reach persisted
-// state). A hit bypasses the whole analyzer and replays the stored report
-// byte-identically, including the cold run's timings.
-//
-// Reports routed through analyze_batch_cached carry no per-run
-// stats.counters window and no counter-derived audit.unmodeled_apis table:
-// those are deltas of the process-global metrics registry, so overlapping
-// analyses (batch --jobs, concurrent daemon requests) contaminate each
-// other's windows — the values are not a function of the input bytes and
-// must never be persisted or served. The global registry (--metrics,
-// --metrics-prom) keeps the exact aggregates.
+// .xapk input under one set of analyzer options. The key is truncated
+// SHA-256 (128 bits) of the raw serialized text, folded with a canonical
+// rendering of the output-affecting AnalyzerOptions — collision-resistant,
+// because a key collision would make the cache serve one app's report for
+// another app's bytes (or another configuration's report) and no envelope
+// check can catch that; never std::hash and never intern Symbol ids
+// (nothing process-local may reach persisted state). A hit bypasses the
+// whole analyzer and replays the stored report byte-identically, including
+// the cold run's timings and its run-scoped counters.
 //
 // On-disk envelope (`extractocol.cache/v1`): one ASCII header line
 //
@@ -88,6 +82,12 @@ public:
     /// Content key of one input: 32 hex chars of truncated SHA-256 over the
     /// raw bytes (collision-resistant). A pure function of the text.
     [[nodiscard]] static std::string key_for(std::string_view xapk_text);
+    /// Key of one input analyzed under `options`, the key
+    /// analyze_batch_cached looks up and stores: key_for(text) folded with
+    /// every option that can change the report (all but jobs and
+    /// batch_progress). Default options map to key_for(text) itself.
+    [[nodiscard]] static std::string key_for(std::string_view xapk_text,
+                                             const core::AnalyzerOptions& options);
 
     /// Loads and fully verifies the entry for `key`. Any integrity failure
     /// deletes the entry and returns nullopt (see file comment) — the
@@ -148,7 +148,7 @@ struct CachedBatch {
     std::vector<core::BatchItem> items;
     /// Parallel to `items`: 1 when the report was replayed from the cache.
     std::vector<char> from_cache;
-    /// Parallel to `items`: the content key of each input (computed for the
+    /// Parallel to `items`: the cache key of each input (computed for the
     /// hit/miss split anyway; exposed so the daemon's per-request telemetry
     /// can attribute a request to its cache entry without re-hashing).
     std::vector<std::string> keys;
@@ -159,10 +159,9 @@ struct CachedBatch {
 /// Cache-aware analyze_batch: serves hits from `cache`, runs the misses
 /// through one Analyzer::analyze_batch (keeping the --jobs pool semantics),
 /// stores every successful miss, and merges results back in input order.
-/// Error items are never cached. Successful reports are served with
-/// stats.counters / audit.unmodeled_apis stripped (see file comment) so a
-/// report on this path is a pure function of its input bytes. `cache` may
-/// be null (everything misses; reports are still stripped).
+/// Error items are never cached. Entries are keyed by content and options
+/// (key_for), so a report on this path equals the one analyze_xapk gives
+/// for the same bytes and options. `cache` may be null (everything misses).
 /// This overload reuses a long-lived analyzer (the --serve daemon's warm
 /// semantic model).
 [[nodiscard]] CachedBatch analyze_batch_cached(const core::Analyzer& analyzer,

@@ -81,7 +81,10 @@ Analyzer::Analyzer(AnalyzerOptions options)
 
 AnalysisReport Analyzer::analyze(const Program& input_program) const {
     auto start = std::chrono::steady_clock::now();
-    obs::MetricsSnapshot counters_before = obs::MetricsRegistry::global().snapshot();
+    // Every counter this run bumps, on this thread or in its pool tasks,
+    // lands in the run's own registry; it is read into the report below and
+    // added to the global registry once when the scope closes.
+    obs::RunScope run;
     obs::Span analyze_span("analyze", "core");
 
     // One pool serves both data-parallel stages (per-site slicing and
@@ -168,6 +171,7 @@ AnalysisReport Analyzer::analyze(const Program& input_program) const {
         auto stage = budget.stage(sites.size());
         pool.for_each_index(sites.size(), [&](std::size_t i) {
             if (stage.should_skip()) return;
+            obs::RunScope::Join join(run);
             std::size_t steps = 0;
             per_site[i] = slicer.slice_site(sites[i], &steps);
             stage.record(i, steps);
@@ -243,6 +247,7 @@ AnalysisReport Analyzer::analyze(const Program& input_program) const {
         auto stage = budget.stage(sliced.size());
         pool.for_each_index(sliced.size(), [&](std::size_t i) {
             if (stage.should_skip()) return;
+            obs::RunScope::Join join(run);
             // Same site key the slicer used for its kSlice scope, so both
             // stages merge into one --profile row per DP site.
             std::string profile_key;
@@ -450,12 +455,11 @@ AnalysisReport Analyzer::analyze(const Program& input_program) const {
     analyze_span.finish();
     report.stats.analysis_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-    report.stats.counters =
-        obs::MetricsRegistry::global().snapshot().delta_since(counters_before).counters;
+    report.stats.counters = run.counters();
 
     // Per-symbol unmodeled-API counts travel as counters (every recording
     // site is a plain obs::counter bump); here they are pulled out of the
-    // run's delta into the audit table so --metrics stays readable.
+    // run's counters into the audit table so --metrics stays readable.
     constexpr std::string_view kUnmodeledPrefix = "audit.unmodeled_api.";
     auto& counters = report.stats.counters;
     for (auto it = counters.begin(); it != counters.end();) {
@@ -478,7 +482,7 @@ AnalysisReport Analyzer::analyze(const Program& input_program) const {
     // counters) before the index-ordered fold detects exhaustion, even though
     // their results are always dropped. The report must stay byte-identical
     // for every jobs value, so a budget-exhausted run keeps only the
-    // deterministic budget.* deltas and drops the counter-derived unmodeled
+    // deterministic budget.* counters and drops the counter-derived unmodeled
     // table; the global registry still holds the exact aggregates.
     if (budget.exhausted()) {
         std::erase_if(report.stats.counters, [](const auto& entry) {
@@ -517,9 +521,9 @@ std::vector<BatchItem> Analyzer::analyze_batch(std::vector<BatchInput> inputs) c
     inner_options.jobs = std::max(1u, jobs / std::max(1u, app_jobs));
     Analyzer inner(std::move(inner_options));
 
-    // Per-app peak attribution needs non-overlapping measurement windows, so
-    // it is only meaningful when apps run one at a time (same caveat as the
-    // per-app counter deltas, which concurrent batches clear).
+    // Per-app peak attribution needs non-overlapping measurement windows
+    // (the allocator hooks are process-wide), so it is only meaningful when
+    // apps run one at a time.
     namespace memtrack = support::memtrack;
     const bool track_per_app = app_jobs == 1 && memtrack::enabled();
 

@@ -461,4 +461,39 @@ void MetricsRegistry::reset() {
     lock_wait_ns_.store(0, std::memory_order_relaxed);
 }
 
+// ------------------------------------------------------------ run scope --
+
+namespace {
+
+thread_local RunScope* t_run = nullptr;
+
+}  // namespace
+
+RunScope::RunScope() : parent_(t_run) { t_run = this; }
+
+RunScope::~RunScope() {
+    t_run = parent_;
+    // Zero-valued counters are added too, so every instrument the run
+    // registered exists in the target and the exported key set does not
+    // depend on which runs happened to bump it.
+    MetricsRegistry& target = current();
+    for (const auto& [name, value] : registry_.snapshot().counters) {
+        target.counter(name).add(value);
+    }
+}
+
+std::vector<std::pair<std::string, std::uint64_t>> RunScope::counters() const {
+    auto out = registry_.snapshot().counters;
+    std::erase_if(out, [](const auto& entry) { return entry.second == 0; });
+    return out;
+}
+
+MetricsRegistry& RunScope::current() {
+    return t_run != nullptr ? t_run->registry_ : MetricsRegistry::global();
+}
+
+RunScope::Join::Join(RunScope& scope) : prev_(t_run) { t_run = &scope; }
+
+RunScope::Join::~Join() { t_run = prev_; }
+
 }  // namespace extractocol::obs

@@ -11,6 +11,10 @@
 // `add()` is a single relaxed atomic increment, so instrumented loops stay
 // within noise of uninstrumented ones and never allocate.
 //
+// Counters bumped inside an analysis land in that analysis's RunScope
+// (a run-local registry, merged into the global one when the run ends), so
+// each report's counters are exactly its own work.
+//
 // Metric names are dot-scoped by pipeline stage (`xapk.`, `slicer.`,
 // `taint.`, `interp.`, `sig.`, `txn.`) and documented in DESIGN.md
 // ("Observability"). Durations are histograms with an `_ms` suffix.
@@ -300,9 +304,50 @@ private:
         windowed_histograms_;
 };
 
-// Global-registry shorthands used at instrumentation sites.
+/// RAII per-run attribution window for counters, the same thread-local idiom
+/// as obs::ProfileScope. While a scope is active on a thread, obs::counter()
+/// on that thread resolves against the scope's own registry, so a run's
+/// counters are exactly the work it did, whatever else the process runs at
+/// the same time. Pool tasks of the run enter it with a Join. On close the
+/// scope adds its counters once into the enclosing scope on this thread, or
+/// into MetricsRegistry::global() when there is none; gauges and histograms
+/// are process state and always go to the global registry.
+class RunScope {
+public:
+    RunScope();
+    ~RunScope();
+    RunScope(const RunScope&) = delete;
+    RunScope& operator=(const RunScope&) = delete;
+
+    /// This run's non-zero counters so far, sorted by name.
+    [[nodiscard]] std::vector<std::pair<std::string, std::uint64_t>> counters() const;
+
+    /// The registry obs::counter() resolves against on the calling thread.
+    static MetricsRegistry& current();
+
+    /// Attributes the current thread's counters to `scope` for the Join's
+    /// lifetime (a pool task working for the run), then restores the
+    /// thread's previous scope.
+    class Join {
+    public:
+        explicit Join(RunScope& scope);
+        ~Join();
+        Join(const Join&) = delete;
+        Join& operator=(const Join&) = delete;
+
+    private:
+        RunScope* prev_;
+    };
+
+private:
+    MetricsRegistry registry_;
+    RunScope* parent_;
+};
+
+// Shorthands used at instrumentation sites. Counters follow the innermost
+// RunScope on the calling thread; gauges and histograms are always global.
 inline Counter& counter(std::string_view name) {
-    return MetricsRegistry::global().counter(name);
+    return RunScope::current().counter(name);
 }
 inline Gauge& gauge(std::string_view name) {
     return MetricsRegistry::global().gauge(name);

@@ -27,22 +27,6 @@ constexpr std::uint64_t fnv1a(std::string_view s) {
     return h;
 }
 
-/// 64-bit FNV-1a with a caller-supplied basis. Seeding with independent
-/// bases yields independent hash streams over the same bytes. Same
-/// stability contract as fnv1a — but the FNV family is NOT
-/// collision-resistant (collisions are adversarially constructible), so it
-/// is for checksums and bucketing only; anything that decides *identity*
-/// of persisted content must use support/sha256.hpp (the report cache key
-/// does).
-constexpr std::uint64_t fnv1a_seeded(std::string_view s, std::uint64_t basis) {
-    std::uint64_t h = basis;
-    for (char c : s) {
-        h ^= static_cast<std::uint8_t>(c);
-        h *= 1099511628211ull;
-    }
-    return h;
-}
-
 /// SplitMix64 finalizer: a strong, stable 64-bit integer mix.
 constexpr std::uint64_t mix64(std::uint64_t z) {
     z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;

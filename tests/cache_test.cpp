@@ -1,6 +1,7 @@
-// Persistent report cache: content-addressed keys, strict codec round-trip,
-// the integrity ladder (every injected corruption must fall back to cold
-// analysis and never serve wrong output), clean version-skew invalidation,
+// Persistent report cache: content-addressed keys that also cover the
+// analyzer options, strict codec round-trip, the integrity ladder (every
+// injected corruption must fall back to cold analysis and never serve
+// wrong output), clean version-skew invalidation,
 // concurrent writer/reader safety (atomic rename, last-writer-wins), size
 // eviction, and the cached-batch merge contract (errors never cached, input
 // order preserved, hits byte-identical to the stored cold run).
@@ -330,21 +331,20 @@ TEST(CacheTest, EvictionKeepsTheDirectoryUnderMaxBytes) {
     EXPECT_TRUE(report_cache.load(std::string(32, '5')).has_value());
 }
 
-TEST(CacheTest, CachedPathCarriesNoProcessGlobalCounterWindows) {
-    // report.stats.counters (and the counter-derived unmodeled-API table)
-    // are deltas of the process-global metrics registry: overlapping
-    // analyses — batch --jobs, concurrent daemon connections — contaminate
-    // each other's windows. A cached report must be a pure function of its
-    // input bytes, so the cached path strips both on the SERVED report as
-    // well as the stored one (a cold miss and its warm replay must stay
-    // byte-identical).
-    TempCacheDir dir("counter_strip");
-    std::string text = corpus_text("blippex");
+TEST(CacheTest, CachedPathCarriesTheIsolatedRunsCounters) {
+    // report.stats.counters and the counter-derived unmodeled-API table
+    // come from the analysis's own run-scoped registry, so they are a
+    // function of the input: the cold-served, the warm-replayed and the
+    // cacheless report all carry exactly what an isolated analysis of the
+    // same bytes carries.
+    TempCacheDir dir("run_counters");
+    std::string text = corpus_text("LinkedIn");
 
-    // A direct (uncached) analysis does populate counters — the stripping
-    // below must be the cache path's doing, not a no-op.
-    core::AnalysisReport direct = analyze_text(text);
+    auto isolated = core::Analyzer().analyze_xapk(text);
+    ASSERT_TRUE(isolated.ok());
+    const core::AnalysisReport& direct = isolated.value();
     ASSERT_FALSE(direct.stats.counters.empty());
+    ASSERT_FALSE(direct.audit.unmodeled_apis.empty());
 
     core::AnalyzerOptions options;
     auto one_input = [&] {
@@ -352,29 +352,81 @@ TEST(CacheTest, CachedPathCarriesNoProcessGlobalCounterWindows) {
         inputs.push_back({"app.xapk", text});
         return inputs;
     };
+    auto expect_isolated = [&](const core::AnalysisReport& report, const char* path) {
+        EXPECT_EQ(report.stats.counters, direct.stats.counters) << path;
+        EXPECT_EQ(report.audit.unmodeled_apis, direct.audit.unmodeled_apis) << path;
+        EXPECT_EQ(report.audit.to_text(), direct.audit.to_text()) << path;
+    };
+
     cache::ReportCache report_cache(options_for(dir));
     cache::CachedBatch cold =
         cache::analyze_batch_cached(options, &report_cache, one_input());
     ASSERT_TRUE(cold.items[0].ok());
-    EXPECT_TRUE(cold.items[0].report->stats.counters.empty());
-    EXPECT_TRUE(cold.items[0].report->audit.unmodeled_apis.empty());
+    expect_isolated(*cold.items[0].report, "cold");
 
     cache::CachedBatch warm =
         cache::analyze_batch_cached(options, &report_cache, one_input());
     ASSERT_TRUE(warm.items[0].ok());
     EXPECT_EQ(warm.hits, 1u);
-    EXPECT_TRUE(warm.items[0].report->stats.counters.empty());
+    expect_isolated(*warm.items[0].report, "warm");
     EXPECT_EQ(warm.items[0].report->to_json().dump_pretty(),
               cold.items[0].report->to_json().dump_pretty())
         << "warm replay diverged from the cold-served report";
 
-    // Null cache (e.g. a daemon without --cache-dir): still stripped, so
-    // concurrent requests cannot leak each other's counter windows.
     cache::CachedBatch uncached =
         cache::analyze_batch_cached(options, nullptr, one_input());
     ASSERT_TRUE(uncached.items[0].ok());
-    EXPECT_TRUE(uncached.items[0].report->stats.counters.empty());
-    EXPECT_TRUE(uncached.items[0].report->audit.unmodeled_apis.empty());
+    expect_isolated(*uncached.items[0].report, "null cache");
+}
+
+TEST(CacheTest, KeyCoversTheAnalyzerOptions) {
+    // A report depends on the bytes AND the output-affecting options: the
+    // same input under a different step budget must miss and get its own
+    // entry, never replay the other configuration's report.
+    TempCacheDir dir("options_key");
+    std::string text = corpus_text("KAYAK");
+    auto one_input = [&] {
+        std::vector<core::BatchInput> inputs;
+        inputs.push_back({"kayak.xapk", text});
+        return inputs;
+    };
+    core::AnalyzerOptions defaults;
+    core::AnalyzerOptions starved;
+    starved.max_total_steps = 50;
+
+    cache::ReportCache report_cache(options_for(dir));
+    cache::CachedBatch full = cache::analyze_batch_cached(defaults, &report_cache, one_input());
+    cache::CachedBatch cut = cache::analyze_batch_cached(starved, &report_cache, one_input());
+    EXPECT_EQ(full.misses, 1u);
+    EXPECT_EQ(cut.misses, 1u);
+    EXPECT_EQ(entry_count(dir.path), 2u);
+    EXPECT_NE(full.keys[0], cut.keys[0]);
+    ASSERT_TRUE(full.items[0].ok());
+    ASSERT_TRUE(cut.items[0].ok());
+    EXPECT_FALSE(full.items[0].report->stats.budget_exhausted);
+    EXPECT_TRUE(cut.items[0].report->stats.budget_exhausted);
+
+    // Each configuration now hits its own entry. jobs is not part of the
+    // key: reports are identical for every value of it.
+    core::AnalyzerOptions starved_parallel = starved;
+    starved_parallel.jobs = 4;
+    cache::CachedBatch cut_again =
+        cache::analyze_batch_cached(starved_parallel, &report_cache, one_input());
+    EXPECT_EQ(cut_again.hits, 1u);
+    EXPECT_EQ(cut_again.items[0].report->to_json().dump_pretty(),
+              cut.items[0].report->to_json().dump_pretty());
+    cache::CachedBatch full_again =
+        cache::analyze_batch_cached(defaults, &report_cache, one_input());
+    EXPECT_EQ(full_again.hits, 1u);
+    EXPECT_EQ(full_again.items[0].report->transactions.size(),
+              full.items[0].report->transactions.size());
+    // Default options keep the bytes-only key; any other set folds in.
+    EXPECT_EQ(full.keys[0], cache::ReportCache::key_for(text));
+    EXPECT_EQ(cut.keys[0], cache::ReportCache::key_for(text, starved));
+    core::AnalyzerOptions scoped;
+    scoped.class_scope = "com.kayak";
+    EXPECT_NE(cache::ReportCache::key_for(text, scoped), full.keys[0]);
+    EXPECT_NE(cache::ReportCache::key_for(text, scoped), cut.keys[0]);
 }
 
 TEST(CacheTest, CachedBatchMergesInOrderAndNeverCachesErrors) {
@@ -406,8 +458,8 @@ TEST(CacheTest, CachedBatchMergesInOrderAndNeverCachesErrors) {
     EXPECT_TRUE(cold.items[2].ok());
     // Two entries on disk: the error was NOT cached.
     EXPECT_EQ(entry_count(dir.path), 2u);
-    EXPECT_FALSE(
-        fs::exists(dir.path / (cache::ReportCache::key_for(poisoned) + ".xce")));
+    EXPECT_FALSE(fs::exists(dir.path /
+                            (cache::ReportCache::key_for(poisoned, options) + ".xce")));
 
     // Warm run: both healthy inputs hit; the poisoned one re-analyzes (and
     // fails identically); everything stays in input order.

@@ -1,9 +1,10 @@
 // Parallel-pipeline determinism: the analysis report must be byte-identical
 // for every --jobs value (workers fill pre-sized slots by index; the merge
 // stays sequential). Runs the full bundled corpus at jobs 1/2/8 and compares
-// the text and JSON renderings, plus the jobs-independent stats and counter
-// deltas. Also covers the stats fixes: `contexts` counts post-intent-filter,
-// with the dropped §5.1 coverage gap kept in `dropped_intent_contexts`.
+// the text and JSON renderings, plus the jobs-independent stats and
+// per-run counters. Also covers the stats fixes: `contexts` counts
+// post-intent-filter, with the dropped §5.1 coverage gap kept in
+// `dropped_intent_contexts`.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -460,6 +461,120 @@ TEST(DeterminismTest, WarmCacheReplayIsByteIdenticalToColdAcrossJobCounts) {
             << "warm manifest diverged at jobs=" << jobs;
     }
     fs::remove_all(dir);
+}
+
+TEST(DeterminismTest, ReportsAreIdenticalAloneBatchedCachedAndServed) {
+    // Per-app counters and the unmodeled-API table come from each analysis's
+    // own run scope, so every entry point serves what an isolated
+    // analyze_xapk gives for the same bytes: in a batch next to other apps,
+    // cold and warm through the cache, and over the daemon (a miss, then a
+    // hit) — at every --jobs value. LinkedIn carries a non-empty unmodeled
+    // table, so a lost or contaminated table shows up here.
+    namespace xtest = extractocol::testing;
+    const std::vector<std::string> names = {"LinkedIn", "KAYAK", "blippex"};
+    std::vector<std::string> texts;
+    for (const auto& name : names) {
+        texts.push_back(xapk::write_xapk(corpus::build_app(name).program));
+    }
+    auto make_inputs = [&] {
+        std::vector<core::BatchInput> inputs;
+        for (std::size_t i = 0; i < names.size(); ++i) {
+            inputs.push_back({names[i] + ".xapk", texts[i]});
+        }
+        return inputs;
+    };
+
+    // Timings zeroed on the rendered document, so the daemon's reply and
+    // in-process reports normalize the same way.
+    auto normalized = [](text::Json doc) {
+        for (auto& [key, value] : doc.members()) {
+            if (key != "metrics") continue;
+            for (auto& [field, measured] : value.members()) {
+                if (field == "analysis_seconds") measured = text::Json(0.0);
+                if (field == "phases") measured = text::Json::object();
+            }
+        }
+        return doc.dump_pretty();
+    };
+
+    std::vector<std::string> expected_json;
+    std::vector<std::string> expected_audit;
+    for (const auto& text : texts) {
+        auto report = core::Analyzer().analyze_xapk(text);
+        ASSERT_TRUE(report.ok());
+        expected_json.push_back(normalized(report.value().to_json()));
+        expected_audit.push_back(report.value().audit.to_text());
+    }
+    EXPECT_NE(expected_audit[0].find("android.content.Intent.getStringExtra  6"),
+              std::string::npos)
+        << expected_audit[0];
+
+    auto check = [&](std::size_t i, const core::AnalysisReport& report,
+                     const std::string& mode) {
+        EXPECT_EQ(normalized(report.to_json()), expected_json[i])
+            << names[i] << " JSON diverged: " << mode;
+        EXPECT_EQ(report.audit.to_text(), expected_audit[i])
+            << names[i] << " audit diverged: " << mode;
+    };
+    auto check_items = [&](const std::vector<core::BatchItem>& items,
+                           const std::string& mode) {
+        ASSERT_EQ(items.size(), names.size()) << mode;
+        for (std::size_t i = 0; i < items.size(); ++i) {
+            ASSERT_TRUE(items[i].ok()) << mode << ": " << items[i].error;
+            check(i, *items[i].report, mode);
+        }
+    };
+
+    for (unsigned jobs : {1u, 2u, 8u}) {
+        const std::string at = " at jobs=" + std::to_string(jobs);
+        core::AnalyzerOptions options;
+        options.jobs = jobs;
+        core::Analyzer analyzer(options);
+        for (std::size_t i = 0; i < texts.size(); ++i) {
+            auto alone = analyzer.analyze_xapk(texts[i]);
+            ASSERT_TRUE(alone.ok());
+            check(i, alone.value(), "alone" + at);
+        }
+        check_items(analyzer.analyze_batch(make_inputs()), "batch" + at);
+
+        xtest::TempDir dir("det_modes" + std::to_string(jobs));
+        cache::CacheOptions cache_options;
+        cache_options.dir = (dir.path / "cache").string();
+        {
+            cache::ReportCache report_cache(cache_options);
+            cache::CachedBatch cold =
+                cache::analyze_batch_cached(options, &report_cache, make_inputs());
+            EXPECT_EQ(cold.hits, 0u) << at;
+            check_items(cold.items, "cold cache" + at);
+            cache::CachedBatch warm =
+                cache::analyze_batch_cached(options, &report_cache, make_inputs());
+            EXPECT_EQ(warm.hits, names.size()) << at;
+            check_items(warm.items, "warm cache" + at);
+        }
+
+        cache::ServeOptions serve;
+        serve.socket_path = (dir.path / "daemon.sock").string();
+        serve.analyzer.jobs = jobs;
+        cache_options.dir = (dir.path / "daemon_cache").string();
+        serve.cache = cache_options;
+        xtest::DaemonFixture daemon(serve);
+        int fd = daemon.connect_fd();
+        ASSERT_GE(fd, 0);
+        for (const char* pass : {"daemon miss", "daemon hit"}) {
+            for (std::size_t i = 0; i < texts.size(); ++i) {
+                text::Json request = text::Json::object();
+                request.set("id", text::Json(static_cast<std::int64_t>(i)));
+                request.set("xapk", text::Json(texts[i]));
+                text::Json reply = xtest::DaemonFixture::request(fd, request.dump());
+                ASSERT_TRUE(xtest::response_ok(reply)) << pass << at;
+                const text::Json* report = reply.find("report");
+                ASSERT_NE(report, nullptr) << pass << at;
+                EXPECT_EQ(normalized(*report), expected_json[i])
+                    << names[i] << " JSON diverged: " << pass << at;
+            }
+        }
+        ::close(fd);
+    }
 }
 
 TEST(DeterminismTest, ProfileTableIsByteIdenticalAcrossJobCounts) {

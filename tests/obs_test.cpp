@@ -170,6 +170,49 @@ TEST(Metrics, SnapshotSortedAndDelta) {
     EXPECT_EQ(delta.counter("alpha"), nullptr);
 }
 
+TEST(Metrics, RunScopeAttributesCountersToItsRun) {
+    // Names unique to this test, so the global totals are read as deltas.
+    auto global_value = [](const char* name) {
+        auto snap = obs::MetricsRegistry::global().snapshot();
+        const std::uint64_t* value = snap.counter(name);
+        return value == nullptr ? std::uint64_t{0} : *value;
+    };
+    const std::uint64_t base = global_value("runscope.work");
+    {
+        obs::RunScope run;
+        obs::counter("runscope.work").add(2);
+        obs::counter("runscope.idle");  // registered, never bumped
+        // A thread that joins the run counts into it; one that does not
+        // counts into the global registry directly.
+        std::thread joined([&run] {
+            obs::RunScope::Join join(run);
+            obs::counter("runscope.work").add(3);
+        });
+        std::thread outside([] { obs::counter("runscope.work").add(100); });
+        joined.join();
+        outside.join();
+        {
+            // A nested scope folds into its parent when it closes.
+            obs::RunScope inner;
+            obs::counter("runscope.work").add(5);
+            EXPECT_EQ(inner.counters(),
+                      (std::vector<std::pair<std::string, std::uint64_t>>{
+                          {"runscope.work", 5}}));
+        }
+        // Zero-valued counters stay out of the run's view.
+        EXPECT_EQ(run.counters(),
+                  (std::vector<std::pair<std::string, std::uint64_t>>{
+                      {"runscope.work", 10}}));
+        EXPECT_EQ(global_value("runscope.work"), base + 100);
+    }
+    // Closing the run adds its counters to the global registry once, zero
+    // ones included, and counters resolve globally again.
+    EXPECT_EQ(global_value("runscope.work"), base + 110);
+    EXPECT_NE(obs::MetricsRegistry::global().snapshot().counter("runscope.idle"), nullptr);
+    EXPECT_EQ(&obs::counter("runscope.work"),
+              &obs::MetricsRegistry::global().counter("runscope.work"));
+}
+
 TEST(Metrics, SnapshotJsonAndTable) {
     obs::MetricsRegistry registry;
     registry.counter("c.one").add(3);

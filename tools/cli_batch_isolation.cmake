@@ -8,7 +8,10 @@
 #     text report, `"error"` member in the --json array — while both healthy
 #     apps still get complete reports;
 #   * stdout is byte-identical at --jobs 1/2/8 (error entries included);
-#   * --fail-fast truncates the output after the first failed input.
+#   * --fail-fast truncates the output after the first failed input;
+#   * an app's --audit "Top unmodeled APIs" table is the same alone, in a
+#     batch, and cold or warm through --cache-dir, and a warm batch's
+#     "(all inputs)" aggregate equals the cold one.
 #
 # Expected definitions: EXTRACTOCOL, MAKE_CORPUS, WORK_DIR.
 
@@ -128,6 +131,96 @@ endif()
 string(FIND "${ff_out}" "== ${healthy_a} ==" pos)
 if(pos EQUAL -1)
   message(FATAL_ERROR "--fail-fast must keep inputs before the failure")
+endif()
+
+# --- per-app unmodeled tables are the same in every mode -------------------
+set(linkedin "${WORK_DIR}/corpus/linkedin.xapk")
+
+# Sets `out` to `text` from its first "Top unmodeled APIs:" line up to the next
+# per-file header (or the end), i.e. the first app's unmodeled table.
+function(unmodeled_section out text)
+  string(FIND "${text}" "Top unmodeled APIs:" start)
+  if(start EQUAL -1)
+    message(FATAL_ERROR "no unmodeled-API section in:\n${text}")
+  endif()
+  string(SUBSTRING "${text}" ${start} -1 rest)
+  string(FIND "${rest}" "\n== " stop)
+  if(NOT stop EQUAL -1)
+    math(EXPR stop "${stop} + 1")  # keep the table's own final newline
+    string(SUBSTRING "${rest}" 0 ${stop} rest)
+  endif()
+  set(${out} "${rest}" PARENT_SCOPE)
+endfunction()
+
+# Sets `out` to the "(all inputs)" aggregate section of a batch --audit run.
+function(aggregate_section out text)
+  string(FIND "${text}" "Top unmodeled APIs (all inputs):" start)
+  if(start EQUAL -1)
+    message(FATAL_ERROR "no aggregate unmodeled-API section in:\n${text}")
+  endif()
+  string(SUBSTRING "${text}" ${start} -1 rest)
+  set(${out} "${rest}" PARENT_SCOPE)
+endfunction()
+
+execute_process(
+  COMMAND "${EXTRACTOCOL}" --audit "${linkedin}"
+  RESULT_VARIABLE rc_solo
+  OUTPUT_VARIABLE audit_solo)
+if(NOT rc_solo EQUAL 0)
+  message(FATAL_ERROR "linkedin --audit failed: ${rc_solo}")
+endif()
+unmodeled_section(expected "${audit_solo}")
+string(FIND "${expected}" "android.content.Intent.getStringExtra  6" pos)
+if(pos EQUAL -1)
+  message(FATAL_ERROR "linkedin alone lost its unmodeled table:\n${expected}")
+endif()
+
+set(cache_dir "${WORK_DIR}/audit_cache")
+# One mode per entry: a label, then the arguments, all '|'-separated.
+set(modes
+  "batch|--jobs|4|${linkedin}|${healthy_a}"
+  "cold cache|--cache-dir|${cache_dir}|${linkedin}"
+  "warm cache|--cache-dir|${cache_dir}|${linkedin}"
+  "warm cache batch|--cache-dir|${cache_dir}|--jobs|4|${linkedin}|${healthy_a}")
+foreach(mode IN LISTS modes)
+  string(REPLACE "|" ";" parts "${mode}")
+  list(GET parts 0 label)
+  list(REMOVE_AT parts 0)
+  execute_process(
+    COMMAND "${EXTRACTOCOL}" --audit ${parts}
+    RESULT_VARIABLE rc_mode
+    OUTPUT_VARIABLE audit_mode)
+  if(NOT rc_mode EQUAL 0)
+    message(FATAL_ERROR "linkedin --audit (${label}) failed: ${rc_mode}")
+  endif()
+  unmodeled_section(actual "${audit_mode}")
+  if(NOT actual STREQUAL expected)
+    message(FATAL_ERROR
+      "linkedin unmodeled table (${label}) differs from the solo run:\n"
+      "${actual}\n--- solo ---\n${expected}")
+  endif()
+endforeach()
+
+# The fleet aggregate of a warm batch equals the cold one.
+set(aggregate_dir "${WORK_DIR}/aggregate_cache")
+foreach(pass cold warm)
+  execute_process(
+    COMMAND "${EXTRACTOCOL}" --audit --cache-dir "${aggregate_dir}" --jobs 2
+            "${linkedin}" "${healthy_a}" "${healthy_b}"
+    RESULT_VARIABLE rc_agg
+    OUTPUT_VARIABLE audit_agg)
+  if(NOT rc_agg EQUAL 0)
+    message(FATAL_ERROR "${pass} batch --audit failed: ${rc_agg}")
+  endif()
+  aggregate_section(aggregate_${pass} "${audit_agg}")
+endforeach()
+if(NOT aggregate_warm STREQUAL aggregate_cold)
+  message(FATAL_ERROR "warm (all inputs) aggregate differs from the cold one:\n"
+    "${aggregate_warm}\n--- cold ---\n${aggregate_cold}")
+endif()
+string(FIND "${aggregate_cold}" "android.content.Intent.getStringExtra  6" pos)
+if(pos EQUAL -1)
+  message(FATAL_ERROR "batch aggregate lost linkedin's unmodeled calls:\n${aggregate_cold}")
 endif()
 
 message(STATUS "cli batch isolation: all checks passed")

@@ -86,6 +86,7 @@
 #include <cstring>
 #include <fstream>
 #include <limits>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <sstream>
@@ -638,21 +639,6 @@ int main(int argc, char** argv) {
         obs::gauge("mem.peak_bytes")
             .set(static_cast<std::int64_t>(support::memtrack::process_peak_bytes()));
     }
-    if (paths.size() > 1) {
-        // Per-run counter deltas are snapshots of the process-global registry;
-        // concurrent analyses overlap each other's windows, so per-app
-        // attribution is meaningless in batch mode and would make the output
-        // vary with --jobs. The aggregate registry (--metrics) stays exact.
-        for (auto& item : items) {
-            if (item.ok()) {
-                item.report->stats.counters.clear();
-                // The unmodeled-API table is built from the same overlapping
-                // counter windows, so it is cleared for the same reason.
-                item.report->audit.unmodeled_apis.clear();
-            }
-        }
-    }
-
     int exit_code = 0;
     text::Json batch = text::Json::array();
     for (std::size_t i = 0; i < paths.size(); ++i) {
@@ -719,18 +705,18 @@ int main(int argc, char** argv) {
         std::printf("%s\n", batch.dump_pretty().c_str());
     }
     if (audit && !as_json && !explain && paths.size() > 1) {
-        // Per-app unmodeled tables are suppressed in batch mode (counter
-        // windows overlap), but the process-global registry totals are exact
-        // and jobs-independent — print the aggregate once.
-        constexpr std::string_view kPrefix = "audit.unmodeled_api.";
-        std::vector<std::pair<std::string, std::uint64_t>> aggregate;
-        for (const auto& [name, value] :
-             obs::MetricsRegistry::global().snapshot().counters) {
-            if (name.size() > kPrefix.size() &&
-                name.compare(0, kPrefix.size(), kPrefix) == 0) {
-                aggregate.emplace_back(name.substr(kPrefix.size()), value);
+        // The fleet view: per-app tables summed over every analyzed input.
+        // Each table is exact for its app, so the sum is the same cold,
+        // warm, or at any --jobs.
+        std::map<std::string, std::uint64_t> totals;
+        for (const auto& item : items) {
+            if (!item.ok()) continue;
+            for (const auto& [name, value] : item.report->audit.unmodeled_apis) {
+                totals[name] += value;
             }
         }
+        std::vector<std::pair<std::string, std::uint64_t>> aggregate(totals.begin(),
+                                                                     totals.end());
         std::sort(aggregate.begin(), aggregate.end(),
                   [](const auto& a, const auto& b) {
                       if (a.second != b.second) return a.second > b.second;
@@ -821,8 +807,7 @@ int main(int argc, char** argv) {
         telemetry.set_timestamp_unix_ms(run_timestamp_ms);
         telemetry.set_run_wall_seconds(run_wall_seconds);
         // Counter deltas over this run only; gauges/histograms ride along
-        // whole (the registry is process-global, so only deltas are
-        // attributable — same convention as per-report counters).
+        // whole (they are process state, not per-run work).
         telemetry.set_metrics(
             obs::MetricsRegistry::global().snapshot().delta_since(run_base));
         if (profile || profile_out_path) {
