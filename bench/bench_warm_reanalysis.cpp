@@ -106,7 +106,7 @@ int main(int argc, char** argv) {
     // Prime: the fleet's last full run, stored entry by entry.
     cache::ReportCache primer(cache_options);
     cache::CachedBatch primed =
-        cache::analyze_batch_cached(options, &primer, primed_inputs);
+        cache::analyze_batch_cached(core::Analyzer(options), &primer, primed_inputs);
     if (primed.misses != primed_inputs.size()) {
         std::fprintf(stderr, "error: prime run expected all misses\n");
         return 1;
@@ -136,7 +136,7 @@ int main(int argc, char** argv) {
         cache::ReportCache warm_cache(cache_options);
         auto start = std::chrono::steady_clock::now();
         cache::CachedBatch run =
-            cache::analyze_batch_cached(options, &warm_cache, updated_inputs);
+            cache::analyze_batch_cached(core::Analyzer(options), &warm_cache, updated_inputs);
         double wall = seconds_since(start);
         if (rep == 0 || wall < warm_wall) {
             warm_wall = wall;

@@ -64,9 +64,8 @@ std::vector<std::string_view> split_tokens(std::string_view line) {
 }
 
 /// Canonical rendering of every output-affecting option, in a fixed order.
-/// jobs and batch_progress are left out: reports are identical for any
-/// value of them. JSON escapes class_scope, so distinct option sets never
-/// render alike.
+/// jobs is left out: reports are identical for any value of it. JSON
+/// escapes class_scope, so distinct option sets never render alike.
 std::string render_options(const core::AnalyzerOptions& options) {
     text::Json canonical = text::Json::object();
     canonical.set("async_heuristic", text::Json(options.async_heuristic));
@@ -425,88 +424,55 @@ text::Json ReportCache::stats_json() const {
 
 // ------------------------------------------------------ cached batching --
 
-namespace {
-
-/// Hit-scan state shared by the two analyze_batch_cached overloads.
-struct HitScan {
+CachedBatch analyze_batch_cached(const core::Analyzer& analyzer, ReportCache* cache,
+                                 std::vector<core::BatchInput> inputs,
+                                 const core::BatchProgress& progress) {
     CachedBatch batch;
-    std::vector<std::string> keys;
+    batch.items.resize(inputs.size());
+    batch.from_cache.assign(inputs.size(), 0);
+    // Empty keys when running cacheless: no key is ever computed.
+    batch.keys.resize(inputs.size());
     std::vector<std::size_t> miss_index;
-    std::vector<core::BatchInput> miss_inputs;
-};
-
-HitScan scan_hits(ReportCache* cache, const core::AnalyzerOptions& options,
-                  std::vector<core::BatchInput> inputs) {
-    HitScan scan;
-    scan.batch.items.resize(inputs.size());
-    scan.batch.from_cache.assign(inputs.size(), 0);
-    scan.keys.resize(inputs.size());
+    std::vector<core::BatchInput> misses;
     for (std::size_t i = 0; i < inputs.size(); ++i) {
         if (cache != nullptr) {
-            scan.keys[i] = ReportCache::key_for(inputs[i].text, options);
-            if (std::optional<core::AnalysisReport> report = cache->load(scan.keys[i])) {
-                scan.batch.items[i].file = inputs[i].file;
-                scan.batch.items[i].report = std::move(*report);
-                scan.batch.from_cache[i] = 1;
-                scan.batch.hits += 1;
+            batch.keys[i] = ReportCache::key_for(inputs[i].text, analyzer.options());
+            if (std::optional<core::AnalysisReport> report = cache->load(batch.keys[i])) {
+                batch.items[i].file = inputs[i].file;
+                batch.items[i].report = std::move(*report);
+                batch.from_cache[i] = 1;
                 continue;
             }
         }
-        scan.miss_index.push_back(i);
+        miss_index.push_back(i);
+        misses.push_back(std::move(inputs[i]));
     }
-    scan.miss_inputs.reserve(scan.miss_index.size());
-    for (std::size_t i : scan.miss_index) scan.miss_inputs.push_back(std::move(inputs[i]));
-    scan.batch.misses = scan.miss_inputs.size();
-    // Keys are still needed for the store step, so the batch gets a copy
-    // (empty strings when running cacheless — no key was ever computed).
-    scan.batch.keys = scan.keys;
-    return scan;
-}
+    batch.misses = misses.size();
+    batch.hits = inputs.size() - batch.misses;
 
-void merge_misses(HitScan& scan, ReportCache* cache,
-                  std::vector<core::BatchItem> analyzed) {
+    // Progress counts over the whole batch: hits are already done.
+    const std::size_t total = inputs.size();
+    if (progress && batch.hits > 0) progress(batch.hits, total);
+    core::BatchProgress miss_progress;
+    if (progress) {
+        miss_progress = [&progress, base = batch.hits, total](std::size_t done, std::size_t) {
+            progress(base + done, total);
+        };
+    }
+    if (misses.empty()) return batch;
+    std::vector<core::BatchItem> analyzed =
+        analyzer.analyze_batch(std::move(misses), miss_progress);
     for (std::size_t j = 0; j < analyzed.size(); ++j) {
-        std::size_t i = scan.miss_index[j];
-        scan.batch.items[i] = std::move(analyzed[j]);
-        if (!scan.batch.items[i].ok()) continue;
+        std::size_t i = miss_index[j];
+        batch.items[i] = std::move(analyzed[j]);
         // Errors are never cached: a contained failure must re-analyze next
         // time (the failure may be environmental, and serving a stored
         // error for content that now analyzes would be wrong output).
-        if (cache != nullptr) cache->store(scan.keys[i], *scan.batch.items[i].report);
+        if (cache != nullptr && batch.items[i].ok()) {
+            cache->store(batch.keys[i], *batch.items[i].report);
+        }
     }
-}
-
-}  // namespace
-
-CachedBatch analyze_batch_cached(const core::Analyzer& analyzer, ReportCache* cache,
-                                 std::vector<core::BatchInput> inputs) {
-    HitScan scan = scan_hits(cache, analyzer.options(), std::move(inputs));
-    if (!scan.miss_inputs.empty()) {
-        merge_misses(scan, cache, analyzer.analyze_batch(std::move(scan.miss_inputs)));
-    }
-    return std::move(scan.batch);
-}
-
-CachedBatch analyze_batch_cached(const core::AnalyzerOptions& options,
-                                 ReportCache* cache,
-                                 std::vector<core::BatchInput> inputs) {
-    HitScan scan = scan_hits(cache, options, std::move(inputs));
-    core::AnalyzerOptions opts = options;
-    if (opts.batch_progress) {
-        // Rebase progress over the whole batch: hits are already done.
-        std::size_t base = scan.batch.hits;
-        std::size_t total = scan.batch.items.size();
-        auto inner = opts.batch_progress;
-        if (base > 0) inner(base, total);
-        opts.batch_progress = [base, total, inner](std::size_t done, std::size_t) {
-            inner(base + done, total);
-        };
-    }
-    if (!scan.miss_inputs.empty()) {
-        core::Analyzer analyzer(opts);
-        merge_misses(scan, cache, analyzer.analyze_batch(std::move(scan.miss_inputs)));
-    }
-    return std::move(scan.batch);
+    return batch;
 }
 
 }  // namespace extractocol::cache

@@ -84,8 +84,8 @@ public:
     [[nodiscard]] static std::string key_for(std::string_view xapk_text);
     /// Key of one input analyzed under `options`, the key
     /// analyze_batch_cached looks up and stores: key_for(text) folded with
-    /// every option that can change the report (all but jobs and
-    /// batch_progress). Default options map to key_for(text) itself.
+    /// every option that can change the report (all but jobs). Default
+    /// options map to key_for(text) itself.
     [[nodiscard]] static std::string key_for(std::string_view xapk_text,
                                              const core::AnalyzerOptions& options);
 
@@ -157,22 +157,16 @@ struct CachedBatch {
 };
 
 /// Cache-aware analyze_batch: serves hits from `cache`, runs the misses
-/// through one Analyzer::analyze_batch (keeping the --jobs pool semantics),
+/// through one analyzer.analyze_batch (keeping the --jobs pool semantics),
 /// stores every successful miss, and merges results back in input order.
 /// Error items are never cached. Entries are keyed by content and options
 /// (key_for), so a report on this path equals the one analyze_xapk gives
 /// for the same bytes and options. `cache` may be null (everything misses).
-/// This overload reuses a long-lived analyzer (the --serve daemon's warm
-/// semantic model).
+/// `progress` counts over the *whole* batch — hits count as already done —
+/// so a --progress line over a warm run still reads k/N of N inputs.
 [[nodiscard]] CachedBatch analyze_batch_cached(const core::Analyzer& analyzer,
                                                ReportCache* cache,
-                                               std::vector<core::BatchInput> inputs);
-
-/// Same, constructing the analyzer from `options`. batch_progress is
-/// re-based over the *whole* batch — hits count as already done — so a
-/// --progress line over a warm run still reads k/N of N inputs.
-[[nodiscard]] CachedBatch analyze_batch_cached(const core::AnalyzerOptions& options,
-                                               ReportCache* cache,
-                                               std::vector<core::BatchInput> inputs);
+                                               std::vector<core::BatchInput> inputs,
+                                               const core::BatchProgress& progress = {});
 
 }  // namespace extractocol::cache

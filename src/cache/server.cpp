@@ -130,7 +130,6 @@ struct WorkerSet {
 
 struct ServerState {
     const core::Analyzer* analyzer = nullptr;
-    const core::AnalyzerOptions* analyzer_options = nullptr;
     ReportCache* cache = nullptr;
     int wake_fd = -1;  // shutdown-request path (same pipe as the signals)
 
@@ -323,7 +322,7 @@ text::Json handle_request(ServerState& state, const std::string& line,
     const core::BatchItem& item = batch.items[0];
     record.key = batch.keys[0];
     record.cached = batch.hits > 0;
-    obs::AppRunRecord app = core::telemetry_record(item, *state.analyzer_options);
+    obs::AppRunRecord app = core::telemetry_record(item, state.analyzer->options());
     record.phase_seconds = std::move(app.phase_seconds);
     record.peak_bytes = app.peak_bytes;
 
@@ -517,11 +516,8 @@ int serve(const ServeOptions& options) {
     ::sigaction(SIGPIPE, &ignore_action, &old_pipe);
 
     // Built once, shared by every request: the warm semantic model and
-    // interned strings are the daemon's whole point. No progress callback —
-    // the daemon's stderr is a log, not a terminal.
-    core::AnalyzerOptions analyzer_options = options.analyzer;
-    analyzer_options.batch_progress = nullptr;
-    core::Analyzer analyzer(analyzer_options);
+    // interned strings are the daemon's whole point.
+    core::Analyzer analyzer(options.analyzer);
     std::unique_ptr<ReportCache> cache;
     if (options.cache) cache = std::make_unique<ReportCache>(*options.cache);
     obs::RequestTelemetry telemetry;
@@ -535,7 +531,6 @@ int serve(const ServeOptions& options) {
 
     ServerState state;
     state.analyzer = &analyzer;
-    state.analyzer_options = &analyzer_options;
     state.cache = cache.get();
     state.wake_fd = wake[1];
     state.telemetry = &telemetry;
@@ -551,7 +546,7 @@ int serve(const ServeOptions& options) {
     ConnectionSet connections;
     WorkerSet workers;
 
-    log::info().kv("socket", path).kv("jobs", analyzer_options.jobs)
+    log::info().kv("socket", path).kv("jobs", analyzer.options().jobs)
         << "cache: daemon listening";
 
     for (;;) {

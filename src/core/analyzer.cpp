@@ -66,6 +66,10 @@ std::string dependency_key(const txn::Dependency& d) {
     return key;
 }
 
+double seconds_since(std::chrono::steady_clock::time_point start) {
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+}
+
 void merge_unique(std::vector<std::string>& into, std::vector<std::string>&& from) {
     for (auto& value : from) {
         if (std::find(into.begin(), into.end(), value) == into.end()) {
@@ -97,6 +101,10 @@ AnalysisReport Analyzer::analyze(const Program& input_program) const {
     // costs fold in site/context order, so the exhaustion point — and the
     // degraded report — is identical for every `jobs` value.
     support::BudgetTracker budget(options_.max_total_steps);
+
+    // --profile: one row per DP site, filled from the stage folds below (and
+    // timed per unit) only while the profiler is on.
+    const bool profiling = obs::Profiler::global().enabled();
 
     AnalysisReport report;
     auto end_phase = [&report](const char* name, obs::Span& span) {
@@ -167,20 +175,31 @@ AnalysisReport Analyzer::analyze(const Program& input_program) const {
     // charged): the cut depends only on the deterministic per-site costs.
     std::vector<char> site_budget_hit(sites.size(), 0);
     std::vector<std::vector<slicing::SlicedTransaction>> per_site(sites.size());
+    std::vector<obs::SiteProfile> site_rows(profiling ? sites.size() : 0);
     {
         auto stage = budget.stage(sites.size());
         pool.for_each_index(sites.size(), [&](std::size_t i) {
             if (stage.should_skip()) return;
             obs::RunScope::Join join(run);
+            std::chrono::steady_clock::time_point unit_start;
+            if (profiling) unit_start = std::chrono::steady_clock::now();
             std::size_t steps = 0;
             per_site[i] = slicer.slice_site(sites[i], &steps);
             stage.record(i, steps);
+            if (profiling) {
+                site_rows[i].taint_steps = steps;
+                site_rows[i].contexts = per_site[i].size();
+                site_rows[i].slice_seconds = seconds_since(unit_start);
+            }
         });
         std::size_t cut = stage.finish();
         for (std::size_t i = cut; i < sites.size(); ++i) {
             per_site[i].clear();
             site_budget_hit[i] = 1;
         }
+        // Sites past the cut may still have run on other workers; their rows
+        // go, so the table is the same at every jobs value.
+        if (cut < site_rows.size()) site_rows.resize(cut);
     }
     std::vector<slicing::SlicedTransaction> sliced;
     for (auto& txns : per_site) {
@@ -243,26 +262,15 @@ AnalysisReport Analyzer::analyze(const Program& input_program) const {
     };
     std::vector<std::optional<sig::TransactionSignature>> signatures(sliced.size());
     std::vector<char> build_capped(sliced.size(), 0);
+    std::vector<std::size_t> build_steps(profiling ? sliced.size() : 0);
+    std::vector<double> build_seconds(profiling ? sliced.size() : 0);
     {
         auto stage = budget.stage(sliced.size());
         pool.for_each_index(sliced.size(), [&](std::size_t i) {
             if (stage.should_skip()) return;
             obs::RunScope::Join join(run);
-            // Same site key the slicer used for its kSlice scope, so both
-            // stages merge into one --profile row per DP site.
-            std::string profile_key;
-            if (obs::Profiler::global().enabled()) {
-                const StmtRef& site = sliced[i].dp_site;
-                auto audit_it = audit_index.find(site);
-                if (audit_it != audit_index.end()) {
-                    const DpSiteAudit& a = report.audit.dp_sites[audit_it->second];
-                    profile_key = obs::profile_site_key(program->app_name, a.dp, a.location,
-                                                        site.method_index, site.block,
-                                                        site.index);
-                }
-            }
-            obs::ProfileScope profile_scope(std::move(profile_key),
-                                            obs::ProfileScope::Stage::kSig);
+            std::chrono::steady_clock::time_point unit_start;
+            if (profiling) unit_start = std::chrono::steady_clock::now();
             sig::BuildRequest request;
             request.dp_site = sliced[i].dp_site;
             request.dp = sliced[i].dp;
@@ -273,6 +281,10 @@ AnalysisReport Analyzer::analyze(const Program& input_program) const {
             signatures[i] = builder.build(request, &build_stats);
             build_capped[i] = build_stats.step_capped ? 1 : 0;
             stage.record(i, build_stats.steps);
+            if (profiling) {
+                build_steps[i] = build_stats.steps;
+                build_seconds[i] = seconds_since(unit_start);
+            }
         });
         std::size_t cut = stage.finish();
         // Contexts past the cut lose their signatures; their DP sites degrade
@@ -281,9 +293,12 @@ AnalysisReport Analyzer::analyze(const Program& input_program) const {
         // carry the budget_exhausted reason — and flags its site too.
         for (std::size_t i = cut; i < sliced.size(); ++i) signatures[i].reset();
         for (std::size_t i = 0; i < sliced.size(); ++i) {
-            if (i >= cut || build_capped[i]) {
-                auto it = audit_index.find(sliced[i].dp_site);
-                if (it != audit_index.end()) site_budget_hit[it->second] = 1;
+            auto it = audit_index.find(sliced[i].dp_site);
+            if (it == audit_index.end()) continue;
+            if (i >= cut || build_capped[i]) site_budget_hit[it->second] = 1;
+            if (profiling && i < cut) {
+                site_rows[it->second].sig_steps += build_steps[i];
+                site_rows[it->second].sig_seconds += build_seconds[i];
             }
         }
     }
@@ -490,6 +505,22 @@ AnalysisReport Analyzer::analyze(const Program& input_program) const {
         });
         report.audit.unmodeled_apis.clear();
     }
+
+    // --profile rows fold into the enclosing table when `run` closes. The
+    // method rows the engines charged follow the counters' rule above: a
+    // budget-exhausted run drops them. The site rows stop at the budget cut,
+    // so they stay.
+    if (profiling) {
+        obs::Profiler& profile = run.profile();
+        if (budget.exhausted()) profile.clear();
+        for (std::size_t i = 0; i < site_rows.size(); ++i) {
+            const DpSiteAudit& a = report.audit.dp_sites[i];
+            site_rows[i].site = obs::profile_site_key(report.app_name, a.dp, a.location,
+                                                      a.site.method_index, a.site.block,
+                                                      a.site.index);
+            profile.merge_site(site_rows[i]);
+        }
+    }
     return report;
 }
 
@@ -507,7 +538,8 @@ Result<AnalysisReport> Analyzer::analyze_xapk(std::string_view xapk_text) const 
     return report;
 }
 
-std::vector<BatchItem> Analyzer::analyze_batch(std::vector<BatchInput> inputs) const {
+std::vector<BatchItem> Analyzer::analyze_batch(std::vector<BatchInput> inputs,
+                                               const BatchProgress& progress) const {
     std::vector<BatchItem> items(inputs.size());
     if (inputs.empty()) return items;
 
@@ -560,10 +592,7 @@ std::vector<BatchItem> Analyzer::analyze_batch(std::vector<BatchInput> inputs) c
             std::uint64_t peak = memtrack::peak_bytes();
             items[i].report->stats.peak_bytes = peak > mem_base ? peak - mem_base : 0;
         }
-        if (options_.batch_progress) {
-            options_.batch_progress(done.fetch_add(1, std::memory_order_relaxed) + 1,
-                                    inputs.size());
-        }
+        if (progress) progress(done.fetch_add(1, std::memory_order_relaxed) + 1, inputs.size());
     });
     // Count contained failures sequentially so the counter total is exact
     // and jobs-independent.

@@ -203,12 +203,14 @@ struct AnalyzerOptions {
     /// unlimited). A capped build keeps its partial signature with residual
     /// unknowns tagged budget_exhausted.
     std::size_t max_sig_steps = 1'000'000;
-    /// Invoked by analyze_batch each time an input finishes, with the number
-    /// completed so far and the batch size. Called from whichever worker
-    /// finished the input, so the callback must be thread-safe when jobs > 1
-    /// (the CLI's --progress line serializes with a mutex). Null disables.
-    std::function<void(std::size_t done, std::size_t total)> batch_progress;
 };
+
+/// Invoked by analyze_batch each time an input finishes, with the number
+/// completed so far and the batch size. Called from whichever worker
+/// finished the input, so the callback must be thread-safe when jobs > 1
+/// (the CLI's --progress line goes through the log sink's lock). Empty
+/// disables.
+using BatchProgress = std::function<void(std::size_t done, std::size_t total)>;
 
 /// One input to analyze_batch: a file label (echoed into per-app report /
 /// error entries) plus its serialized .xapk text.
@@ -258,7 +260,7 @@ public:
     /// as soon as that app has been analyzed, so a large batch's peak memory
     /// holds only the not-yet-processed texts instead of all of them.
     [[nodiscard]] std::vector<BatchItem> analyze_batch(
-        std::vector<BatchInput> inputs) const;
+        std::vector<BatchInput> inputs, const BatchProgress& progress = {}) const;
 
     [[nodiscard]] const semantics::SemanticModel& model() const { return model_; }
     [[nodiscard]] const AnalyzerOptions& options() const { return options_; }

@@ -210,8 +210,8 @@ struct Interpreter::Impl {
     obs::Counter* stmts_evaluated = &obs::counter("interp.stmts_evaluated");
     obs::Counter* events_fired = &obs::counter("interp.events_fired");
     // --profile: per-method statement tally, charged per frame (one map
-    // update per call, not per statement) and flushed to the global
-    // profiler after each fuzz pass.
+    // update per call, not per statement) and flushed through
+    // obs::charge_method after each fuzz pass.
     bool profiling = false;
     std::map<const Method*, std::uint64_t> profile_stmts;
 
@@ -222,10 +222,8 @@ struct Interpreter::Impl {
     }
 
     void flush_profile() {
-        if (!profiling || profile_stmts.empty()) return;
-        obs::Profiler& profiler = obs::Profiler::global();
         for (const auto& [method, count] : profile_stmts) {
-            profiler.charge_method(
+            obs::charge_method(
                 obs::profile_method_key(program->app_name, method->ref().qualified()),
                 0, count);
         }

@@ -10,8 +10,8 @@
 // is started — the journal on disk is therefore bounded by ~2x max_bytes.
 //
 // Journal files are resource measurements (timestamps, latencies, monotonic
-// ids), so they are sidecar-exempt from the byte-determinism contracts the
-// report stream holds — like --profile-out. The record *skeleton* (op,
+// ids), so they are exempt from the byte-determinism contracts the report
+// stream holds — like the timings of a run manifest. The record *skeleton* (op,
 // outcome, cached flags, count) is deterministic per driven workload and is
 // what tests compare.
 #pragma once

@@ -480,6 +480,7 @@ RunScope::~RunScope() {
     for (const auto& [name, value] : registry_.snapshot().counters) {
         target.counter(name).add(value);
     }
+    current_profile().merge_from(profile_);
 }
 
 std::vector<std::pair<std::string, std::uint64_t>> RunScope::counters() const {
@@ -490,6 +491,10 @@ std::vector<std::pair<std::string, std::uint64_t>> RunScope::counters() const {
 
 MetricsRegistry& RunScope::current() {
     return t_run != nullptr ? t_run->registry_ : MetricsRegistry::global();
+}
+
+Profiler& RunScope::current_profile() {
+    return t_run != nullptr ? t_run->profile_ : Profiler::global();
 }
 
 RunScope::Join::Join(RunScope& scope) : prev_(t_run) { t_run = &scope; }

@@ -30,6 +30,7 @@
 #include <string_view>
 #include <vector>
 
+#include "obs/profiler.hpp"
 #include "text/json.hpp"
 
 namespace extractocol::obs {
@@ -304,14 +305,15 @@ private:
         windowed_histograms_;
 };
 
-/// RAII per-run attribution window for counters, the same thread-local idiom
-/// as obs::ProfileScope. While a scope is active on a thread, obs::counter()
-/// on that thread resolves against the scope's own registry, so a run's
-/// counters are exactly the work it did, whatever else the process runs at
-/// the same time. Pool tasks of the run enter it with a Join. On close the
-/// scope adds its counters once into the enclosing scope on this thread, or
-/// into MetricsRegistry::global() when there is none; gauges and histograms
-/// are process state and always go to the global registry.
+/// RAII per-run attribution window for counters and --profile method rows.
+/// While a scope is active on a thread, obs::counter() and
+/// obs::charge_method() on that thread resolve against the scope's own
+/// registry and profile table, so a run's counters and rows are exactly the
+/// work it did, whatever else the process runs at the same time. Pool tasks
+/// of the run enter it with a Join. On close the scope adds its counters and
+/// rows once into the enclosing scope on this thread, or into
+/// MetricsRegistry::global() / Profiler::global() when there is none; gauges
+/// and histograms are process state and always go to the global registry.
 class RunScope {
 public:
     RunScope();
@@ -322,8 +324,13 @@ public:
     /// This run's non-zero counters so far, sorted by name.
     [[nodiscard]] std::vector<std::pair<std::string, std::uint64_t>> counters() const;
 
+    /// This run's profile table; the analyzer writes its site rows here.
+    [[nodiscard]] Profiler& profile() { return profile_; }
+
     /// The registry obs::counter() resolves against on the calling thread.
     static MetricsRegistry& current();
+    /// The table obs::charge_method() resolves against on the calling thread.
+    static Profiler& current_profile();
 
     /// Attributes the current thread's counters to `scope` for the Join's
     /// lifetime (a pool task working for the run), then restores the
@@ -341,6 +348,7 @@ public:
 
 private:
     MetricsRegistry registry_;
+    Profiler profile_;
     RunScope* parent_;
 };
 
@@ -354,6 +362,14 @@ inline Gauge& gauge(std::string_view name) {
 }
 inline Histogram& histogram(std::string_view name) {
     return MetricsRegistry::global().histogram(name);
+}
+/// Charges --profile work to one app method ("app|Cls.method", see
+/// profile_method_key), resolved like counter(): the innermost RunScope on
+/// the calling thread, else Profiler::global(). Callers check
+/// Profiler::global().enabled() before collecting.
+inline void charge_method(std::string_view method_key, std::uint64_t taint_steps,
+                          std::uint64_t interp_stmts) {
+    RunScope::current_profile().charge_method(method_key, taint_steps, interp_stmts);
 }
 
 }  // namespace extractocol::obs

@@ -9,22 +9,6 @@
 
 namespace extractocol::obs {
 
-namespace {
-
-thread_local ProfileScope* t_scope = nullptr;
-
-// Innermost-scope accumulators, reachable from the static charge helpers
-// without exposing ProfileScope internals. Declared here so the thread_local
-// lives in exactly one TU.
-struct ScopeCharges {
-    std::uint64_t* taint_steps = nullptr;
-    std::uint64_t* interp_stmts = nullptr;
-    std::uint64_t* contexts = nullptr;
-};
-thread_local ScopeCharges t_charges;
-
-}  // namespace
-
 Profiler& Profiler::global() {
     static Profiler instance;
     return instance;
@@ -55,6 +39,16 @@ void Profiler::charge_method(std::string_view method_key, std::uint64_t taint_st
     if (row.method.empty()) row.method = std::string(method_key);
     row.taint_steps += taint_steps;
     row.interp_stmts += interp_stmts;
+}
+
+void Profiler::merge_from(const Profiler& other) {
+    // Copy under the source lock, then add under ours: never both at once.
+    std::vector<SiteProfile> site_rows = other.sites();
+    std::vector<MethodProfile> method_rows = other.methods();
+    for (const SiteProfile& row : site_rows) merge_site(row);
+    for (const MethodProfile& row : method_rows) {
+        charge_method(row.method, row.taint_steps, row.interp_stmts);
+    }
 }
 
 std::vector<SiteProfile> Profiler::sites() const {
@@ -121,36 +115,6 @@ std::string Profiler::table(std::size_t top_k) const {
     return out;
 }
 
-text::Json Profiler::to_json() const {
-    text::Json doc = text::Json::object();
-    doc.set("schema", text::Json("extractocol.profile/v1"));
-    doc.set("totals", summary_json());
-
-    text::Json site_arr = text::Json::array();
-    for (const SiteProfile& s : sites()) {
-        text::Json row = text::Json::object();
-        row.set("site", text::Json(s.site));
-        row.set("taint_steps", text::Json(static_cast<std::int64_t>(s.taint_steps)));
-        row.set("sig_steps", text::Json(static_cast<std::int64_t>(s.sig_steps)));
-        row.set("contexts", text::Json(static_cast<std::int64_t>(s.contexts)));
-        row.set("slice_seconds", text::Json(s.slice_seconds));
-        row.set("sig_seconds", text::Json(s.sig_seconds));
-        site_arr.push_back(std::move(row));
-    }
-    doc.set("sites", std::move(site_arr));
-
-    text::Json method_arr = text::Json::array();
-    for (const MethodProfile& m : methods()) {
-        text::Json row = text::Json::object();
-        row.set("method", text::Json(m.method));
-        row.set("taint_steps", text::Json(static_cast<std::int64_t>(m.taint_steps)));
-        row.set("interp_stmts", text::Json(static_cast<std::int64_t>(m.interp_stmts)));
-        method_arr.push_back(std::move(row));
-    }
-    doc.set("methods", std::move(method_arr));
-    return doc;
-}
-
 text::Json Profiler::summary_json() const {
     std::uint64_t taint_steps = 0;
     std::uint64_t sig_steps = 0;
@@ -177,53 +141,6 @@ text::Json Profiler::summary_json() const {
     doc.set("interp_stmts", text::Json(static_cast<std::int64_t>(interp_stmts)));
     doc.set("contexts", text::Json(static_cast<std::int64_t>(contexts)));
     return doc;
-}
-
-// ------------------------------------------------------------ ProfileScope
-
-ProfileScope::ProfileScope(std::string site_key, Stage stage)
-    : stage_(stage), site_(std::move(site_key)) {
-    if (site_.empty() || !Profiler::global().enabled()) return;
-    active_ = true;
-    start_ = std::chrono::steady_clock::now();
-    prev_ = t_scope;
-    t_scope = this;
-    t_charges = {&taint_steps_, &interp_stmts_, &contexts_};
-}
-
-ProfileScope::~ProfileScope() {
-    if (!active_) return;
-    t_scope = prev_;
-    if (prev_ != nullptr) {
-        t_charges = {&prev_->taint_steps_, &prev_->interp_stmts_, &prev_->contexts_};
-    } else {
-        t_charges = {};
-    }
-    double seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() - start_)
-                         .count();
-    SiteProfile delta;
-    delta.site = std::move(site_);
-    delta.taint_steps = taint_steps_;
-    delta.sig_steps = interp_stmts_;
-    delta.contexts = contexts_;
-    if (stage_ == Stage::kSlice) {
-        delta.slice_seconds = seconds;
-    } else {
-        delta.sig_seconds = seconds;
-    }
-    Profiler::global().merge_site(delta);
-}
-
-void ProfileScope::charge_taint_steps(std::uint64_t n) {
-    if (t_charges.taint_steps != nullptr) *t_charges.taint_steps += n;
-}
-
-void ProfileScope::charge_interp_stmts(std::uint64_t n) {
-    if (t_charges.interp_stmts != nullptr) *t_charges.interp_stmts += n;
-}
-
-void ProfileScope::charge_contexts(std::uint64_t n) {
-    if (t_charges.contexts != nullptr) *t_charges.contexts += n;
 }
 
 std::string profile_site_key(std::string_view app, std::string_view dp,

@@ -5,26 +5,26 @@
 // work". Three rules keep it deterministic and cheap:
 //
 //  * All *counts* (taint steps, interpreted statements, contexts) derive
-//    from per-item deterministic work, so their sums are independent of
-//    thread interleaving. The `--profile` table renders counts only and is
+//    from per-item deterministic work, and a budget-exhausted run keeps only
+//    the site rows before its budget cut, so the `--profile` table is
 //    byte-identical for any --jobs value (enforced by determinism_test).
-//  * Wall-clock attribution (slice/sig self-time) is inherently racy across
-//    runs, so it is confined to the `--profile-out` sidecar JSON, which is
-//    exempt from the determinism contract.
+//  * Wall-clock attribution (slice/sig time per site) is inherently racy
+//    across runs, so it is confined to the run manifest's `profile` block,
+//    which zeroes it under normalization; the table never prints it.
 //  * Everything is gated on a single relaxed atomic; a disabled profiler
-//    costs one load per scope and nothing per step (engines keep local
+//    costs one load per run and nothing per step (engines keep local
 //    accumulators and flush once per run).
 //
-// Instrumented producers: slicing/slicer.cpp (site scopes, contexts),
-// taint/engine.cpp (steps per run + per-method worklist iterations),
-// sig/builder.cpp (interpreter steps per build + per-method statements),
-// interp/interpreter.cpp (fuzzing statements per method), core/analyzer.cpp
-// (sig-stage scopes).
+// Producers: core/analyzer.cpp writes one row per DP site from its own
+// stage fold (slice steps, sig steps, contexts, per-unit wall time);
+// taint/engine.cpp (worklist iterations), sig/builder.cpp (interpreter
+// statements) and interp/interpreter.cpp (fuzzing statements) charge
+// per-method work through obs::charge_method, which lands in the innermost
+// obs::RunScope on the thread, else in Profiler::global().
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <chrono>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -42,8 +42,8 @@ struct SiteProfile {
     std::uint64_t taint_steps = 0;    ///< worklist steps in request/response/augment slicing
     std::uint64_t sig_steps = 0;      ///< signature-interpreter statements for all contexts
     std::uint64_t contexts = 0;       ///< calling contexts discovered for the site
-    double slice_seconds = 0.0;       ///< wall self-time inside slice_site (sidecar only)
-    double sig_seconds = 0.0;         ///< wall self-time inside signature builds (sidecar only)
+    double slice_seconds = 0.0;       ///< wall time of the site's slice_site (manifest only)
+    double sig_seconds = 0.0;         ///< wall time of the site's signature builds (manifest only)
 
     [[nodiscard]] std::uint64_t total_steps() const { return taint_steps + sig_steps; }
 };
@@ -57,8 +57,10 @@ struct MethodProfile {
     [[nodiscard]] std::uint64_t total_steps() const { return taint_steps + interp_stmts; }
 };
 
-/// Global sink for attribution records. Disabled by default; `--profile`
-/// (or tests) flips it on before analysis starts.
+/// Table of attribution rows. Profiler::global() is the process table and
+/// holds the switch: disabled by default, `--profile` (or tests) flips it on
+/// before analysis starts. Each obs::RunScope owns one more table for its
+/// run, folded into the enclosing scope's or the process table on close.
 class Profiler {
 public:
     static Profiler& global();
@@ -68,11 +70,13 @@ public:
 
     void clear();
 
-    /// Fold a site-scope delta into the per-site table (sums all fields).
+    /// Fold a site delta into the per-site table (sums all fields).
     void merge_site(const SiteProfile& delta);
     /// Charge per-method work (either count may be zero).
     void charge_method(std::string_view method_key, std::uint64_t taint_steps,
                        std::uint64_t interp_stmts);
+    /// Adds every row of `other` into this table.
+    void merge_from(const Profiler& other);
 
     /// Snapshots sorted by total cost descending, then key ascending.
     [[nodiscard]] std::vector<SiteProfile> sites() const;
@@ -80,8 +84,6 @@ public:
 
     /// Deterministic top-K table (counts only, no timings) for `--profile`.
     [[nodiscard]] std::string table(std::size_t top_k = 20) const;
-    /// Full sidecar document (timings included) for `--profile-out`.
-    [[nodiscard]] text::Json to_json() const;
     /// Deterministic aggregate totals for the run manifest's "profile" block.
     [[nodiscard]] text::Json summary_json() const;
 
@@ -92,38 +94,7 @@ private:
     std::unordered_map<std::string, MethodProfile> methods_;
 };
 
-/// RAII attribution window for one DP site on the current thread. Engines
-/// running inside the scope charge work to it via the static helpers; the
-/// destructor folds the accumulated delta into Profiler::global(). Inactive
-/// (and free apart from one atomic load) when the profiler is disabled.
-class ProfileScope {
-public:
-    enum class Stage { kSlice, kSig };
-
-    ProfileScope(std::string site_key, Stage stage);
-    ~ProfileScope();
-    ProfileScope(const ProfileScope&) = delete;
-    ProfileScope& operator=(const ProfileScope&) = delete;
-
-    /// Charge work to the innermost active scope on this thread (no-ops
-    /// when none is active, so engines can charge unconditionally).
-    static void charge_taint_steps(std::uint64_t n);
-    static void charge_interp_stmts(std::uint64_t n);
-    static void charge_contexts(std::uint64_t n);
-
-private:
-    bool active_ = false;
-    Stage stage_{Stage::kSlice};
-    std::string site_;
-    std::uint64_t taint_steps_ = 0;
-    std::uint64_t interp_stmts_ = 0;
-    std::uint64_t contexts_ = 0;
-    std::chrono::steady_clock::time_point start_{};
-    ProfileScope* prev_ = nullptr;
-};
-
-/// Canonical site key, shared by the slicer (kSlice scopes) and the
-/// analyzer's sig stage (kSig scopes) so both stages merge into one row.
+/// Canonical site key ("app|dp @ location (m:b:i)").
 [[nodiscard]] std::string profile_site_key(std::string_view app, std::string_view dp,
                                            std::string_view location, std::uint32_t method_index,
                                            std::uint32_t block, std::uint32_t index);

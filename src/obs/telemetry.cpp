@@ -124,9 +124,10 @@ void RunTelemetry::set_metrics(MetricsSnapshot snapshot) {
     metrics_ = std::move(snapshot);
 }
 
-void RunTelemetry::set_profile_summary(text::Json summary) {
+void RunTelemetry::set_profile(const Profiler& profiler) {
+    ProfileRows rows{profiler.summary_json(), profiler.sites(), profiler.methods()};
     std::lock_guard<std::mutex> lock(mutex_);
-    profile_summary_ = std::move(summary);
+    profile_ = std::move(rows);
 }
 
 void RunTelemetry::set_fleet_accuracy(text::Json accuracy) {
@@ -191,7 +192,7 @@ text::Json RunTelemetry::manifest_json(bool normalize_resources) const {
 
     std::vector<AppRunRecord> records;
     std::optional<MetricsSnapshot> metrics;
-    std::optional<text::Json> profile;
+    std::optional<ProfileRows> profile;
     std::optional<text::Json> fleet_accuracy;
     std::optional<text::Json> cache;
     unsigned jobs = 1;
@@ -200,7 +201,7 @@ text::Json RunTelemetry::manifest_json(bool normalize_resources) const {
         std::lock_guard<std::mutex> lock(mutex_);
         records = records_;
         metrics = metrics_;
-        profile = profile_summary_;
+        profile = profile_;
         fleet_accuracy = fleet_accuracy_;
         cache = cache_;
         jobs = jobs_;
@@ -221,6 +222,9 @@ text::Json RunTelemetry::manifest_json(bool normalize_resources) const {
             r.wall_seconds = 0;
             for (auto& [name, seconds] : r.phase_seconds) seconds = 0;
             r.peak_bytes = 0;
+        }
+        if (profile) {
+            for (SiteProfile& s : profile->sites) s.slice_seconds = s.sig_seconds = 0;
         }
         if (cache && cache->is_object()) {
             // Entry payloads embed the cold run's measured timings, so the
@@ -288,9 +292,32 @@ text::Json RunTelemetry::manifest_json(bool normalize_resources) const {
     doc.set("jobs", text::Json(static_cast<std::int64_t>(jobs)));
     doc.set("fleet", std::move(fleet_obj));
     doc.set("apps", std::move(apps));
-    // Profile totals are deterministic counts (Profiler::summary_json), so
-    // they need no normalization.
-    if (profile) doc.set("profile", *profile);
+    if (profile) {
+        text::Json site_rows = text::Json::array();
+        for (const SiteProfile& s : profile->sites) {
+            text::Json row = text::Json::object();
+            row.set("site", text::Json(s.site));
+            row.set("taint_steps", text::Json(static_cast<std::int64_t>(s.taint_steps)));
+            row.set("sig_steps", text::Json(static_cast<std::int64_t>(s.sig_steps)));
+            row.set("contexts", text::Json(static_cast<std::int64_t>(s.contexts)));
+            row.set("slice_seconds", text::Json(s.slice_seconds));
+            row.set("sig_seconds", text::Json(s.sig_seconds));
+            site_rows.push_back(std::move(row));
+        }
+        text::Json method_rows = text::Json::array();
+        for (const MethodProfile& m : profile->methods) {
+            text::Json row = text::Json::object();
+            row.set("method", text::Json(m.method));
+            row.set("taint_steps", text::Json(static_cast<std::int64_t>(m.taint_steps)));
+            row.set("interp_stmts", text::Json(static_cast<std::int64_t>(m.interp_stmts)));
+            method_rows.push_back(std::move(row));
+        }
+        text::Json profile_doc = text::Json::object();
+        profile_doc.set("totals", std::move(profile->totals));
+        profile_doc.set("sites", std::move(site_rows));
+        profile_doc.set("methods", std::move(method_rows));
+        doc.set("profile", std::move(profile_doc));
+    }
     // The cache block is the run's slice of the cache index: which lookups
     // hit, missed, corrupted, or evicted this run.
     if (cache) doc.set("cache", *cache);

@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
+#include "obs/profiler.hpp"
 #include "text/json.hpp"
 
 namespace extractocol::obs {
@@ -167,9 +168,10 @@ public:
     /// Attaches a metrics snapshot (typically the run's registry delta);
     /// rendered into the manifest with Prometheus-sanitized names.
     void set_metrics(MetricsSnapshot snapshot);
-    /// Attaches the profiler's deterministic totals (Profiler::summary_json)
-    /// as the manifest's "profile" section. Omitted when never set.
-    void set_profile_summary(text::Json summary);
+    /// Attaches the profiler's rows as the manifest's "profile" section:
+    /// "totals" (Profiler::summary_json) plus every site and method row.
+    /// Normalization zeroes the rows' seconds. Omitted when never set.
+    void set_profile(const Profiler& profiler);
     /// Attaches the fleet accuracy block (eval::FleetEval::accuracy_json) as
     /// the manifest fleet's "accuracy" section. Omitted when never set.
     void set_fleet_accuracy(text::Json accuracy);
@@ -199,7 +201,12 @@ private:
     std::uint64_t timestamp_unix_ms_ = 0;
     double run_wall_seconds_ = 0;
     std::optional<MetricsSnapshot> metrics_;
-    std::optional<text::Json> profile_summary_;
+    struct ProfileRows {
+        text::Json totals;
+        std::vector<SiteProfile> sites;
+        std::vector<MethodProfile> methods;
+    };
+    std::optional<ProfileRows> profile_;
     std::optional<text::Json> fleet_accuracy_;
     std::optional<text::Json> cache_;
     std::vector<AppRunRecord> records_;

@@ -1422,20 +1422,16 @@ public:
     [[nodiscard]] std::size_t steps() const { return steps_; }
     [[nodiscard]] bool step_capped() const { return step_capped_; }
 
-    /// Flushes per-method statement counts to the global profiler and the
-    /// interpreted-statement total to the innermost ProfileScope.
+    /// Charges the per-method statement counts (obs::charge_method).
     void flush_profile() const {
-        if (method_stmts_.empty()) return;
-        obs::Profiler& profiler = obs::Profiler::global();
         const auto& methods = program_->method_table();
         for (std::uint32_t mi = 0; mi < method_stmts_.size(); ++mi) {
             if (method_stmts_[mi] == 0) continue;
-            profiler.charge_method(
+            obs::charge_method(
                 obs::profile_method_key(program_->app_name,
                                         methods[mi]->ref().qualified()),
                 0, method_stmts_[mi]);
         }
-        obs::ProfileScope::charge_interp_stmts(steps_);
     }
 };
 

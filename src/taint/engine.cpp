@@ -239,9 +239,7 @@ TaintResult TaintEngine::run(Direction direction, const std::vector<TaintSeed>& 
     run.dir = direction;
     const auto& methods = program_->method_table();
     // --profile attribution: per-method worklist iterations, kept in a dense
-    // local array (one add per iteration) and flushed to the global profiler
-    // once per run. run.steps only counts when a step cap is set, so the
-    // profiler charges the true iteration total instead.
+    // local array (one add per iteration) and charged once per run.
     const bool profiling = obs::Profiler::global().enabled();
     std::vector<std::uint64_t> method_iterations;
     if (profiling) method_iterations.resize(methods.size(), 0);
@@ -1289,18 +1287,11 @@ TaintResult TaintEngine::run(Direction direction, const std::vector<TaintSeed>& 
                   return a.stmt < b.stmt;
               });
     run.result.steps_used = run.steps;
-    if (profiling) {
-        std::uint64_t total_iterations = 0;
-        obs::Profiler& profiler = obs::Profiler::global();
-        for (std::uint32_t mi = 0; mi < method_iterations.size(); ++mi) {
-            if (method_iterations[mi] == 0) continue;
-            total_iterations += method_iterations[mi];
-            profiler.charge_method(
-                obs::profile_method_key(program_->app_name,
-                                        methods[mi]->ref().qualified()),
-                method_iterations[mi], 0);
-        }
-        obs::ProfileScope::charge_taint_steps(total_iterations);
+    for (std::uint32_t mi = 0; mi < method_iterations.size(); ++mi) {
+        if (method_iterations[mi] == 0) continue;
+        obs::charge_method(
+            obs::profile_method_key(program_->app_name, methods[mi]->ref().qualified()),
+            method_iterations[mi], 0);
     }
     obs::counter("taint.slice_statements").add(run.result.statements.size());
     span.finish();

@@ -360,12 +360,12 @@ TEST(CacheTest, CachedPathCarriesTheIsolatedRunsCounters) {
 
     cache::ReportCache report_cache(options_for(dir));
     cache::CachedBatch cold =
-        cache::analyze_batch_cached(options, &report_cache, one_input());
+        cache::analyze_batch_cached(core::Analyzer(options), &report_cache, one_input());
     ASSERT_TRUE(cold.items[0].ok());
     expect_isolated(*cold.items[0].report, "cold");
 
     cache::CachedBatch warm =
-        cache::analyze_batch_cached(options, &report_cache, one_input());
+        cache::analyze_batch_cached(core::Analyzer(options), &report_cache, one_input());
     ASSERT_TRUE(warm.items[0].ok());
     EXPECT_EQ(warm.hits, 1u);
     expect_isolated(*warm.items[0].report, "warm");
@@ -374,7 +374,7 @@ TEST(CacheTest, CachedPathCarriesTheIsolatedRunsCounters) {
         << "warm replay diverged from the cold-served report";
 
     cache::CachedBatch uncached =
-        cache::analyze_batch_cached(options, nullptr, one_input());
+        cache::analyze_batch_cached(core::Analyzer(options), nullptr, one_input());
     ASSERT_TRUE(uncached.items[0].ok());
     expect_isolated(*uncached.items[0].report, "null cache");
 }
@@ -395,8 +395,10 @@ TEST(CacheTest, KeyCoversTheAnalyzerOptions) {
     starved.max_total_steps = 50;
 
     cache::ReportCache report_cache(options_for(dir));
-    cache::CachedBatch full = cache::analyze_batch_cached(defaults, &report_cache, one_input());
-    cache::CachedBatch cut = cache::analyze_batch_cached(starved, &report_cache, one_input());
+    cache::CachedBatch full =
+        cache::analyze_batch_cached(core::Analyzer(defaults), &report_cache, one_input());
+    cache::CachedBatch cut =
+        cache::analyze_batch_cached(core::Analyzer(starved), &report_cache, one_input());
     EXPECT_EQ(full.misses, 1u);
     EXPECT_EQ(cut.misses, 1u);
     EXPECT_EQ(entry_count(dir.path), 2u);
@@ -410,13 +412,13 @@ TEST(CacheTest, KeyCoversTheAnalyzerOptions) {
     // key: reports are identical for every value of it.
     core::AnalyzerOptions starved_parallel = starved;
     starved_parallel.jobs = 4;
-    cache::CachedBatch cut_again =
-        cache::analyze_batch_cached(starved_parallel, &report_cache, one_input());
+    cache::CachedBatch cut_again = cache::analyze_batch_cached(
+        core::Analyzer(starved_parallel), &report_cache, one_input());
     EXPECT_EQ(cut_again.hits, 1u);
     EXPECT_EQ(cut_again.items[0].report->to_json().dump_pretty(),
               cut.items[0].report->to_json().dump_pretty());
     cache::CachedBatch full_again =
-        cache::analyze_batch_cached(defaults, &report_cache, one_input());
+        cache::analyze_batch_cached(core::Analyzer(defaults), &report_cache, one_input());
     EXPECT_EQ(full_again.hits, 1u);
     EXPECT_EQ(full_again.items[0].report->transactions.size(),
               full.items[0].report->transactions.size());
@@ -436,6 +438,7 @@ TEST(CacheTest, CachedBatchMergesInOrderAndNeverCachesErrors) {
     std::string poisoned = "not an xapk at all";
 
     core::AnalyzerOptions options;
+    core::Analyzer analyzer(options);
     auto make_inputs = [&] {
         std::vector<core::BatchInput> inputs;
         inputs.push_back({"a.xapk", text_a});
@@ -446,7 +449,7 @@ TEST(CacheTest, CachedBatchMergesInOrderAndNeverCachesErrors) {
 
     cache::ReportCache cold_cache(options_for(dir));
     cache::CachedBatch cold =
-        cache::analyze_batch_cached(options, &cold_cache, make_inputs());
+        cache::analyze_batch_cached(analyzer, &cold_cache, make_inputs());
     ASSERT_EQ(cold.items.size(), 3u);
     EXPECT_EQ(cold.hits, 0u);
     EXPECT_EQ(cold.misses, 3u);
@@ -465,7 +468,7 @@ TEST(CacheTest, CachedBatchMergesInOrderAndNeverCachesErrors) {
     // fails identically); everything stays in input order.
     cache::ReportCache warm_cache(options_for(dir));
     cache::CachedBatch warm =
-        cache::analyze_batch_cached(options, &warm_cache, make_inputs());
+        cache::analyze_batch_cached(analyzer, &warm_cache, make_inputs());
     ASSERT_EQ(warm.items.size(), 3u);
     EXPECT_EQ(warm.hits, 2u);
     EXPECT_EQ(warm.misses, 1u);
@@ -478,8 +481,7 @@ TEST(CacheTest, CachedBatchMergesInOrderAndNeverCachesErrors) {
     EXPECT_EQ(warm_cache.stats().hits, 2u);
     EXPECT_EQ(warm_cache.stats().misses, 1u);
 
-    // The warm analyzer-reuse overload (the daemon's path) agrees.
-    core::Analyzer analyzer(options);
+    // A third cache handle on the same directory (the daemon's path) agrees.
     cache::ReportCache daemon_cache(options_for(dir));
     cache::CachedBatch daemon =
         cache::analyze_batch_cached(analyzer, &daemon_cache, make_inputs());
@@ -488,7 +490,7 @@ TEST(CacheTest, CachedBatchMergesInOrderAndNeverCachesErrors) {
 
     // Null cache: everything misses, nothing stored beyond the 2 entries.
     cache::CachedBatch uncached =
-        cache::analyze_batch_cached(options, nullptr, make_inputs());
+        cache::analyze_batch_cached(analyzer, nullptr, make_inputs());
     EXPECT_EQ(uncached.hits, 0u);
     EXPECT_EQ(uncached.misses, 3u);
     EXPECT_EQ(uncached.items[0].report->to_text(), cold.items[0].report->to_text());

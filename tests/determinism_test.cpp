@@ -380,7 +380,7 @@ TEST(DeterminismTest, WarmCacheReplayIsByteIdenticalToColdAcrossJobCounts) {
         options.jobs = jobs;
         cache::ReportCache report_cache(cache_options);
         RunOutputs out;
-        out.batch = cache::analyze_batch_cached(options, &report_cache,
+        out.batch = cache::analyze_batch_cached(core::Analyzer(options), &report_cache,
                                                 make_inputs());
         std::vector<eval::EvalResult> results;
         for (const auto& item : out.batch.items) {
@@ -543,11 +543,11 @@ TEST(DeterminismTest, ReportsAreIdenticalAloneBatchedCachedAndServed) {
         {
             cache::ReportCache report_cache(cache_options);
             cache::CachedBatch cold =
-                cache::analyze_batch_cached(options, &report_cache, make_inputs());
+                cache::analyze_batch_cached(analyzer, &report_cache, make_inputs());
             EXPECT_EQ(cold.hits, 0u) << at;
             check_items(cold.items, "cold cache" + at);
             cache::CachedBatch warm =
-                cache::analyze_batch_cached(options, &report_cache, make_inputs());
+                cache::analyze_batch_cached(analyzer, &report_cache, make_inputs());
             EXPECT_EQ(warm.hits, names.size()) << at;
             check_items(warm.items, "warm cache" + at);
         }
@@ -581,58 +581,82 @@ TEST(DeterminismTest, ProfileTableIsByteIdenticalAcrossJobCounts) {
     // The --profile hot table holds the report's determinism bar: every
     // count in it is a sum of per-item deterministic work, so the rendered
     // table (and the aggregate summary) is byte-identical at any --jobs.
-    // Wall-clock attribution lives only in the --profile-out sidecar, which
-    // this test deliberately does not compare.
-    std::vector<std::string> names = corpus::open_source_apps();
-    ASSERT_GE(names.size(), 3u);
-    names.resize(3);
-
-    obs::Profiler& profiler = obs::Profiler::global();
-    auto run = [&](unsigned jobs) {
-        profiler.clear();
-        profiler.set_enabled(true);
-        for (const auto& name : names) {
-            corpus::CorpusApp app = corpus::build_app(name);
-            (void)analyze(app.program, app.spec.open_source, jobs);
-        }
-        profiler.set_enabled(false);
+    // That includes budget-cut runs: site rows stop at the cut and the
+    // run's method rows are dropped, so work that other workers started
+    // past the cut never shows. Wall-clock attribution rides only in the
+    // run manifest, which this test deliberately does not compare.
+    struct Case {
+        std::vector<std::string> apps;
+        std::size_t max_total_steps;
+    };
+    std::vector<std::string> open_source = corpus::open_source_apps();
+    ASSERT_GE(open_source.size(), 3u);
+    open_source.resize(3);
+    const std::vector<Case> cases = {
+        {open_source, 0},
+        {{"KAYAK"}, 800},
+        {{"KAYAK"}, 1500},
+        {{"Pinterest"}, 2500},
     };
 
-    run(1);
-    std::string baseline_table = profiler.table();
-    std::string baseline_summary = profiler.summary_json().dump_pretty();
-    std::vector<obs::SiteProfile> baseline_sites = profiler.sites();
-    std::vector<obs::MethodProfile> baseline_methods = profiler.methods();
-    ASSERT_FALSE(baseline_sites.empty());
-    ASSERT_FALSE(baseline_methods.empty());
+    obs::Profiler& profiler = obs::Profiler::global();
+    for (const Case& c : cases) {
+        std::vector<corpus::CorpusApp> apps;
+        for (const auto& name : c.apps) apps.push_back(corpus::build_app(name));
+        const std::string label =
+            c.apps.front() + " max_total_steps=" + std::to_string(c.max_total_steps);
+        auto run = [&](unsigned jobs) {
+            profiler.clear();
+            profiler.set_enabled(true);
+            for (const auto& app : apps) {
+                core::AnalyzerOptions options;
+                options.async_heuristic = !app.spec.open_source;
+                options.jobs = jobs;
+                options.max_total_steps = c.max_total_steps;
+                (void)core::Analyzer(options).analyze(app.program);
+            }
+            profiler.set_enabled(false);
+        };
 
-    for (unsigned jobs : {2u, 8u}) {
-        run(jobs);
-        EXPECT_EQ(profiler.table(), baseline_table)
-            << "profile table diverged at jobs=" << jobs;
-        EXPECT_EQ(profiler.summary_json().dump_pretty(), baseline_summary)
-            << "profile summary diverged at jobs=" << jobs;
-        // Beyond the top-K rendering: the FULL attribution maps must agree
-        // count-for-count (seconds excluded — they are sidecar-only).
-        std::vector<obs::SiteProfile> sites = profiler.sites();
-        ASSERT_EQ(sites.size(), baseline_sites.size()) << "jobs=" << jobs;
-        for (std::size_t i = 0; i < sites.size(); ++i) {
-            EXPECT_EQ(sites[i].site, baseline_sites[i].site) << "jobs=" << jobs;
-            EXPECT_EQ(sites[i].taint_steps, baseline_sites[i].taint_steps)
-                << sites[i].site << " jobs=" << jobs;
-            EXPECT_EQ(sites[i].sig_steps, baseline_sites[i].sig_steps)
-                << sites[i].site << " jobs=" << jobs;
-            EXPECT_EQ(sites[i].contexts, baseline_sites[i].contexts)
-                << sites[i].site << " jobs=" << jobs;
+        run(1);
+        std::string baseline_table = profiler.table();
+        std::string baseline_summary = profiler.summary_json().dump_pretty();
+        std::vector<obs::SiteProfile> baseline_sites = profiler.sites();
+        std::vector<obs::MethodProfile> baseline_methods = profiler.methods();
+        ASSERT_FALSE(baseline_sites.empty()) << label;
+        if (c.max_total_steps == 0) {
+            ASSERT_FALSE(baseline_methods.empty()) << label;
         }
-        std::vector<obs::MethodProfile> methods = profiler.methods();
-        ASSERT_EQ(methods.size(), baseline_methods.size()) << "jobs=" << jobs;
-        for (std::size_t i = 0; i < methods.size(); ++i) {
-            EXPECT_EQ(methods[i].method, baseline_methods[i].method) << "jobs=" << jobs;
-            EXPECT_EQ(methods[i].taint_steps, baseline_methods[i].taint_steps)
-                << methods[i].method << " jobs=" << jobs;
-            EXPECT_EQ(methods[i].interp_stmts, baseline_methods[i].interp_stmts)
-                << methods[i].method << " jobs=" << jobs;
+
+        for (unsigned jobs : {2u, 8u}) {
+            const std::string at = label + " jobs=" + std::to_string(jobs);
+            run(jobs);
+            EXPECT_EQ(profiler.table(), baseline_table) << "profile table diverged: " << at;
+            EXPECT_EQ(profiler.summary_json().dump_pretty(), baseline_summary)
+                << "profile summary diverged: " << at;
+            // Beyond the top-K rendering: the FULL attribution maps must
+            // agree count-for-count (seconds excluded — they are
+            // measurements).
+            std::vector<obs::SiteProfile> sites = profiler.sites();
+            ASSERT_EQ(sites.size(), baseline_sites.size()) << at;
+            for (std::size_t i = 0; i < sites.size(); ++i) {
+                EXPECT_EQ(sites[i].site, baseline_sites[i].site) << at;
+                EXPECT_EQ(sites[i].taint_steps, baseline_sites[i].taint_steps)
+                    << sites[i].site << " " << at;
+                EXPECT_EQ(sites[i].sig_steps, baseline_sites[i].sig_steps)
+                    << sites[i].site << " " << at;
+                EXPECT_EQ(sites[i].contexts, baseline_sites[i].contexts)
+                    << sites[i].site << " " << at;
+            }
+            std::vector<obs::MethodProfile> methods = profiler.methods();
+            ASSERT_EQ(methods.size(), baseline_methods.size()) << at;
+            for (std::size_t i = 0; i < methods.size(); ++i) {
+                EXPECT_EQ(methods[i].method, baseline_methods[i].method) << at;
+                EXPECT_EQ(methods[i].taint_steps, baseline_methods[i].taint_steps)
+                    << methods[i].method << " " << at;
+                EXPECT_EQ(methods[i].interp_stmts, baseline_methods[i].interp_stmts)
+                    << methods[i].method << " " << at;
+            }
         }
     }
     profiler.clear();
@@ -643,9 +667,9 @@ TEST(DeterminismTest, DaemonStatusMetricsAndJournalSkeletonAcrossJobCounts) {
     // for one driven workload, the status document (volatile fields
     // normalized), the metrics op's counter deltas, and the journal's
     // record skeleton must be byte-identical at --jobs 1/2/8. The journal
-    // itself is a sidecar like --profile-out — its timings, ids, and sizes
-    // are measurements — so only the (op, outcome, cached) skeleton and the
-    // record count are compared.
+    // itself is a measurement record — its timings, ids, and sizes vary run
+    // to run — so only the (op, outcome, cached) skeleton and the record
+    // count are compared.
     namespace xtest = extractocol::testing;
     namespace fs = std::filesystem;
     corpus::CorpusApp app = corpus::build_app("blippex");

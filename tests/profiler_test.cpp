@@ -1,12 +1,13 @@
 // Work-attribution profiler and pool-contention observatory.
 //
 // Covers the three attribution layers of obs/profiler:
-//   * per-DP-site and per-app-method cost attribution collected by the
-//     slicer / taint engine / signature interpreter / fuzzer, with the
-//     `--profile` table holding the same determinism bar as the report
-//     (counts only — byte-identical for every --jobs value);
-//   * the `--profile-out` sidecar JSON, which is exempt from that contract
-//     and therefore carries the wall-clock self-time fields;
+//   * per-DP-site rows written by the analyzer and per-app-method rows
+//     charged by the taint engine / signature interpreter / fuzzer through
+//     the run scope, with the `--profile` table holding the same
+//     determinism bar as the report (counts only — byte-identical for every
+//     --jobs value);
+//   * the run manifest's `profile` block, which also carries the per-site
+//     wall-clock fields and zeroes them under normalization;
 //   * the support::parallel batch-stats hook feeding `parallel.*`
 //     contention histograms (queue wait, busy, utilization, imbalance).
 #include <gtest/gtest.h>
@@ -21,6 +22,7 @@
 #include "corpus/corpus.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
+#include "obs/telemetry.hpp"
 #include "support/parallel.hpp"
 #include "text/json.hpp"
 
@@ -59,12 +61,6 @@ TEST(Profiler, DisabledProfilerCollectsNothing) {
 
     EXPECT_TRUE(profiler.sites().empty());
     EXPECT_TRUE(profiler.methods().empty());
-    // A scope built while disabled must not register charges either.
-    {
-        obs::ProfileScope scope("app|DP @ loc (0:0:0)", obs::ProfileScope::Stage::kSlice);
-        obs::ProfileScope::charge_taint_steps(7);
-    }
-    EXPECT_TRUE(profiler.sites().empty());
 }
 
 TEST(Profiler, AttributesWorkToSitesAndMethods) {
@@ -77,6 +73,9 @@ TEST(Profiler, AttributesWorkToSitesAndMethods) {
     ASSERT_FALSE(sites.empty());
     ASSERT_FALSE(methods.empty());
 
+    // The key format every site row uses.
+    EXPECT_EQ(obs::profile_site_key("app", "URL.openConnection", "com.a.B.run", 3, 1, 2),
+              "app|URL.openConnection @ com.a.B.run (3:1:2)");
     std::uint64_t taint_total = 0;
     std::uint64_t sig_total = 0;
     std::uint64_t contexts = 0;
@@ -133,19 +132,21 @@ TEST(Profiler, TableIsByteIdenticalAcrossJobCounts) {
     }
 }
 
-TEST(Profiler, SidecarJsonCarriesTimings) {
+TEST(Profiler, ManifestProfileBlockCarriesTimings) {
     corpus::CorpusApp app = corpus::build_app(corpus::open_source_apps().front());
     profile_app(app, 2);
+    obs::RunTelemetry telemetry;
+    telemetry.set_profile(obs::Profiler::global());
 
-    text::Json doc = obs::Profiler::global().to_json();
-    EXPECT_EQ(doc.find("schema")->as_string(), "extractocol.profile/v1");
-    const text::Json* totals = doc.find("totals");
-    ASSERT_NE(totals, nullptr);
-    EXPECT_GT(totals->find("taint_steps")->as_int(), 0);
-
-    const text::Json* sites = doc.find("sites");
+    // Unnormalized: every site row, with measured wall time.
+    text::Json doc = telemetry.manifest_json();
+    const text::Json* profile = doc.find("profile");
+    ASSERT_NE(profile, nullptr);
+    EXPECT_EQ(*profile->find("totals"), obs::Profiler::global().summary_json());
+    EXPECT_GT(profile->find("totals")->find("taint_steps")->as_int(), 0);
+    const text::Json* sites = profile->find("sites");
     ASSERT_NE(sites, nullptr);
-    ASSERT_TRUE(sites->is_array());
+    ASSERT_EQ(sites->items().size(), obs::Profiler::global().sites().size());
     ASSERT_FALSE(sites->items().empty());
     bool timed = false;
     for (const auto& row : sites->items()) {
@@ -157,7 +158,25 @@ TEST(Profiler, SidecarJsonCarriesTimings) {
             timed = true;
         }
     }
-    EXPECT_TRUE(timed) << "sidecar rows carry no wall-clock attribution";
+    EXPECT_TRUE(timed) << "site rows carry no wall-clock attribution";
+    const text::Json* methods = profile->find("methods");
+    ASSERT_NE(methods, nullptr);
+    EXPECT_EQ(methods->items().size(), obs::Profiler::global().methods().size());
+    EXPECT_FALSE(methods->items().empty());
+
+    // Normalized: the seconds are zero, the counts are untouched.
+    text::Json normalized = telemetry.manifest_json(true);
+    const text::Json* norm_sites = normalized.find("profile")->find("sites");
+    ASSERT_EQ(norm_sites->items().size(), sites->items().size());
+    for (std::size_t i = 0; i < sites->items().size(); ++i) {
+        const text::Json& row = norm_sites->items()[i];
+        EXPECT_EQ(row.find("slice_seconds")->as_double(), 0.0);
+        EXPECT_EQ(row.find("sig_seconds")->as_double(), 0.0);
+        for (const char* count : {"site", "taint_steps", "sig_steps", "contexts"}) {
+            EXPECT_EQ(*row.find(count), *sites->items()[i].find(count)) << count;
+        }
+    }
+    EXPECT_EQ(*normalized.find("profile")->find("methods"), *methods);
 
     // The deterministic table must NOT leak timings.
     std::string table = obs::Profiler::global().table();
@@ -168,53 +187,57 @@ TEST(Profiler, SidecarJsonCarriesTimings) {
     ASSERT_TRUE(reparsed.ok());
 }
 
-TEST(Profiler, ScopesNestAndMergeByStage) {
+TEST(Profiler, MethodChargesFoldThroughTheRunScope) {
     obs::Profiler& profiler = obs::Profiler::global();
     profiler.clear();
-    profiler.set_enabled(true);
-
-    // Charges outside any scope are dropped, not crashed.
-    obs::ProfileScope::charge_taint_steps(1);
-    obs::ProfileScope::charge_interp_stmts(1);
-    obs::ProfileScope::charge_contexts(1);
-
-    const std::string key = obs::profile_site_key("app", "URL.openConnection",
-                                                  "com.a.B.run", 3, 1, 2);
-    EXPECT_EQ(key, "app|URL.openConnection @ com.a.B.run (3:1:2)");
-    {
-        obs::ProfileScope slice(key, obs::ProfileScope::Stage::kSlice);
-        obs::ProfileScope::charge_taint_steps(10);
-        obs::ProfileScope::charge_contexts(2);
-        {
-            // An inner scope captures charges until it closes; the outer
-            // scope then resumes as the charge target.
-            obs::ProfileScope inner("app|other @ m (0:0:0)",
-                                    obs::ProfileScope::Stage::kSlice);
-            obs::ProfileScope::charge_taint_steps(5);
+    auto global_steps = [&](const std::string& key) -> std::uint64_t {
+        for (const auto& m : profiler.methods()) {
+            if (m.method == key) return m.total_steps();
         }
-        obs::ProfileScope::charge_taint_steps(1);
-    }
-    {
-        // Same site, sig stage: merges into the same row.
-        obs::ProfileScope sig(key, obs::ProfileScope::Stage::kSig);
-        obs::ProfileScope::charge_interp_stmts(20);
-    }
-    // An empty key deactivates the scope entirely.
-    {
-        obs::ProfileScope empty("", obs::ProfileScope::Stage::kSig);
-        obs::ProfileScope::charge_interp_stmts(99);
-    }
-    profiler.set_enabled(false);
+        return 0;
+    };
 
-    auto sites = profiler.sites();
-    ASSERT_EQ(sites.size(), 2u);
-    EXPECT_EQ(sites[0].site, key);  // 11 taint + 20 sig beats the inner 5
-    EXPECT_EQ(sites[0].taint_steps, 11u);
-    EXPECT_EQ(sites[0].sig_steps, 20u);
-    EXPECT_EQ(sites[0].contexts, 2u);
-    EXPECT_GE(sites[0].slice_seconds, 0.0);
-    EXPECT_GE(sites[0].sig_seconds, 0.0);
-    EXPECT_EQ(sites[1].taint_steps, 5u);
+    // Outside any scope a charge lands in the process table.
+    obs::charge_method("app|A.outside", 1, 0);
+    EXPECT_EQ(global_steps("app|A.outside"), 1u);
+    {
+        obs::RunScope run;
+        obs::charge_method("app|A.run", 2, 0);
+        {
+            // A pool task joined to the run charges the run, not the process.
+            support::ThreadPool pool(1);
+            pool.for_each_index(4, [&](std::size_t) {
+                obs::RunScope::Join join(run);
+                obs::charge_method("app|A.run", 0, 3);
+            });
+        }
+        {
+            obs::RunScope inner;
+            obs::charge_method("app|A.inner", 5, 0);
+        }
+        // The inner scope folded into this one on close, not into the
+        // process table.
+        EXPECT_EQ(global_steps("app|A.run"), 0u);
+        EXPECT_EQ(global_steps("app|A.inner"), 0u);
+        std::vector<obs::MethodProfile> rows = run.profile().methods();
+        ASSERT_EQ(rows.size(), 2u);
+        EXPECT_EQ(rows[0].method, "app|A.run");
+        EXPECT_EQ(rows[0].taint_steps, 2u);
+        EXPECT_EQ(rows[0].interp_stmts, 12u);
+        EXPECT_EQ(rows[1].method, "app|A.inner");
+
+        obs::SiteProfile site;
+        site.site = obs::profile_site_key("app", "dp", "A.run", 0, 0, 0);
+        site.taint_steps = 7;
+        run.profile().merge_site(site);
+        EXPECT_TRUE(profiler.sites().empty());
+    }
+    // Closing the run folds its rows into the process table once.
+    EXPECT_EQ(global_steps("app|A.run"), 14u);
+    EXPECT_EQ(global_steps("app|A.inner"), 5u);
+    EXPECT_EQ(global_steps("app|A.outside"), 1u);
+    ASSERT_EQ(profiler.sites().size(), 1u);
+    EXPECT_EQ(profiler.sites()[0].taint_steps, 7u);
     profiler.clear();
 }
 

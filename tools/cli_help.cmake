@@ -30,8 +30,8 @@ set(flags
   --jobs --keep-going --fail-fast --progress
   --cache-dir --cache-max-bytes --serve --connect
   --status --metrics-live --journal --journal-max-bytes --slow-ms
-  --stats --metrics --metrics-prom --run-manifest --memtrack --trace
-  --profile --profile-out --flamegraph
+  --metrics --metrics-prom --run-manifest --memtrack --trace
+  --profile --flamegraph
   --eval --eval-out
   --verbose --help)
 foreach(flag IN LISTS flags)
@@ -67,8 +67,27 @@ if(pos EQUAL -1)
   message(FATAL_ERROR "unknown option must be named on stderr:\n${unknown_err}")
 endif()
 
+# Retired flags: --stats folded into --metrics, --profile-out into the run
+# manifest's "profile" block. Both are unknown options now.
+foreach(retired --stats --profile-out)
+  execute_process(
+    COMMAND "${EXTRACTOCOL}" ${retired} x.xapk
+    RESULT_VARIABLE rc_retired
+    OUTPUT_QUIET
+    ERROR_VARIABLE retired_err)
+  string(FIND "${retired_err}" "unknown option '${retired}'" pos)
+  if(NOT rc_retired EQUAL 2 OR pos EQUAL -1)
+    message(FATAL_ERROR "${retired} must be an unknown option (exit 2), got ${rc_retired}:\n"
+                        "${retired_err}")
+  endif()
+  string(FIND "${help_out}" "${retired}" pos)
+  if(NOT pos EQUAL -1)
+    message(FATAL_ERROR "--help still lists ${retired}")
+  endif()
+endforeach()
+
 # Value-taking options must name themselves when the value is missing.
-foreach(value_flag --profile-out --flamegraph --eval-out
+foreach(value_flag --flamegraph --eval-out
                    --cache-dir --cache-max-bytes --serve --connect
                    --journal --journal-max-bytes --slow-ms)
   execute_process(

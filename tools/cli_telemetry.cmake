@@ -10,7 +10,12 @@
 #   * --progress reports on stderr only — stdout is byte-identical with and
 #     without it;
 #   * --memtrack at --jobs 1 attributes a non-zero per-app peak_bytes
-#     (skipped with a warning on libcs without malloc_usable_size).
+#     (skipped with a warning on libcs without malloc_usable_size);
+#   * --profile --run-manifest puts every site and method row in the
+#     manifest's "profile" block, and the --profile table of a budget-cut
+#     run is the same at --jobs 1 and 4;
+#   * a warm --cache-dir --progress batch counts hits as done and ends on
+#     N/N apps.
 #
 # Expected definitions: EXTRACTOCOL, MAKE_CORPUS, WORK_DIR.
 
@@ -174,5 +179,78 @@ foreach(needle "extractocol.eval/v1" "\"fleet\"" "\"triage\"" "\"counts\"")
     message(FATAL_ERROR "eval sidecar missing ${needle}:\n${eval_text}")
   endif()
 endforeach()
+
+# --- --profile: every row in the manifest, stable under a budget cut -------
+set(manifest_profile "${WORK_DIR}/manifest_profile.json")
+execute_process(
+  COMMAND "${EXTRACTOCOL}" --jobs 2 --profile --run-manifest "${manifest_profile}"
+          "${healthy_a}" "${healthy_b}"
+  RESULT_VARIABLE rc_profile
+  OUTPUT_QUIET
+  ERROR_VARIABLE profile_err)
+if(NOT rc_profile EQUAL 0)
+  message(FATAL_ERROR "--profile batch must exit 0, got ${rc_profile}:\n${profile_err}")
+endif()
+string(FIND "${profile_err}" "profile: hot DP sites" pos)
+if(pos EQUAL -1)
+  message(FATAL_ERROR "--profile must print the hot table on stderr:\n${profile_err}")
+endif()
+file(READ "${manifest_profile}" profile_manifest)
+foreach(rows sites methods)
+  string(JSON row_count ERROR_VARIABLE json_err LENGTH "${profile_manifest}" profile ${rows})
+  if(json_err OR row_count EQUAL 0)
+    message(FATAL_ERROR "manifest profile block has no ${rows} rows (${json_err}):\n"
+                        "${profile_manifest}")
+  endif()
+endforeach()
+
+set(kayak "${WORK_DIR}/corpus/kayak.xapk")
+foreach(jobs 1 4)
+  execute_process(
+    COMMAND "${EXTRACTOCOL}" --profile --max-steps 800 --jobs ${jobs} "${kayak}"
+    RESULT_VARIABLE rc_budget
+    OUTPUT_QUIET
+    ERROR_VARIABLE budget_err_${jobs})
+  if(NOT rc_budget EQUAL 0)
+    message(FATAL_ERROR "budget-cut --profile run must exit 0, got ${rc_budget}")
+  endif()
+endforeach()
+string(FIND "${budget_err_1}" "profile: hot DP sites" pos)
+if(pos EQUAL -1)
+  message(FATAL_ERROR "budget-cut run printed no profile table:\n${budget_err_1}")
+endif()
+if(NOT budget_err_1 STREQUAL budget_err_4)
+  message(FATAL_ERROR "budget-cut --profile stderr differs between --jobs 1 and 4:\n"
+                      "${budget_err_1}\n--- vs ---\n${budget_err_4}")
+endif()
+
+# --- --progress over a warm cache: hits count as done ----------------------
+set(progress_cache "${WORK_DIR}/progress_cache")
+execute_process(
+  COMMAND "${EXTRACTOCOL}" --jobs 2 --cache-dir "${progress_cache}" ${inputs}
+  RESULT_VARIABLE rc_prime
+  OUTPUT_QUIET
+  ERROR_QUIET)
+if(NOT rc_prime EQUAL 1)
+  message(FATAL_ERROR "cache-priming batch exit code diverged: ${rc_prime}")
+endif()
+# Two hits plus the poisoned input, which is never cached and re-analyzes.
+execute_process(
+  COMMAND "${EXTRACTOCOL}" --jobs 2 --cache-dir "${progress_cache}" --progress ${inputs}
+  RESULT_VARIABLE rc_warm
+  OUTPUT_QUIET
+  ERROR_VARIABLE warm_err)
+if(NOT rc_warm EQUAL 1)
+  message(FATAL_ERROR "warm batch exit code diverged: ${rc_warm}")
+endif()
+string(REGEX MATCHALL "[0-9]+/[0-9]+ apps" progress_counts "${warm_err}")
+if(NOT progress_counts)
+  message(FATAL_ERROR "warm --progress drew no count:\n${warm_err}")
+endif()
+list(GET progress_counts -1 last_count)
+if(NOT last_count STREQUAL "3/3 apps")
+  message(FATAL_ERROR "warm --progress must end on 3/3 apps, ended on '${last_count}':\n"
+                      "${warm_err}")
+endif()
 
 message(STATUS "cli telemetry: all checks passed")

@@ -23,9 +23,8 @@
 //   --fail-fast            batch mode: stop emitting after the first failed
 //                          input (in input order — deterministic under
 //                          --jobs; every app is still analyzed)
-//   --stats                print analysis statistics to stderr
-//   --metrics              print the per-phase timing table and metric
-//                          counters to stderr
+//   --metrics              print the per-app statistics line, the per-phase
+//                          timing table and metric counters to stderr
 //   --audit                print the analysis-quality report (per-reason
 //                          unknown counts, per-DP outcomes, top unmodeled
 //                          APIs) instead of the transaction table
@@ -36,10 +35,10 @@
 //                          pipeline spans (open with chrome://tracing)
 //   --profile              print the deterministic hot-DP-site / hot-method
 //                          cost attribution table to stderr (top 20 by
-//                          taint steps + interpreted statements)
-//   --profile-out <file>   write the full profile (every site and method,
-//                          wall-clock self-times included) as a JSON
-//                          sidecar; implies --profile collection
+//                          taint steps + interpreted statements); with
+//                          --run-manifest, every site and method row (wall
+//                          time per site included) lands in its "profile"
+//                          block
 //   --flamegraph <file>    write the span tree in Brendan Gregg
 //                          collapsed-stack format (feed to flamegraph.pl
 //                          or speedscope); implies span recording
@@ -165,8 +164,8 @@ void print_usage(std::FILE* out, const char* argv0) {
                  "  --slow-ms N           with --serve: log a per-phase breakdown for\n"
                  "                        requests slower than N milliseconds\n"
                  "telemetry:\n"
-                 "  --stats               per-app analysis statistics on stderr\n"
-                 "  --metrics             per-phase timings and metric counters on stderr\n"
+                 "  --metrics             per-app statistics, per-phase timings and metric\n"
+                 "                        counters on stderr\n"
                  "  --metrics-prom FILE   write the metrics registry in Prometheus text\n"
                  "                        exposition format\n"
                  "  --run-manifest FILE   write the JSON run ledger (per-app records,\n"
@@ -182,9 +181,8 @@ void print_usage(std::FILE* out, const char* argv0) {
                  "                        JSON sidecar (implies scoring)\n"
                  "profiling:\n"
                  "  --profile             print the hot-DP-site / hot-method cost table\n"
-                 "                        on stderr (deterministic for any --jobs)\n"
-                 "  --profile-out FILE    write the full profile as JSON (timings\n"
-                 "                        included; implies --profile collection)\n"
+                 "                        on stderr (deterministic for any --jobs); the\n"
+                 "                        run manifest gets every row\n"
                  "  --flamegraph FILE     write the span tree as collapsed stacks for\n"
                  "                        flamegraph.pl / speedscope\n"
                  "general:\n"
@@ -223,7 +221,7 @@ bool parse_size(const char* text, std::size_t& out) {
     return true;
 }
 
-void print_stats(const core::AnalysisReport& report) {
+void print_metrics(const core::AnalysisReport& report) {
     const auto& s = report.stats;
     std::fprintf(stderr,
                  "statements=%zu sliced=%zu (%.1f%%) dps=%zu contexts=%zu "
@@ -232,10 +230,6 @@ void print_stats(const core::AnalysisReport& report) {
                  s.dp_sites, s.contexts, s.dropped_intent_contexts,
                  s.analysis_seconds * 1000,
                  s.budget_exhausted ? " budget_exhausted" : "");
-}
-
-void print_metrics(const core::AnalysisReport& report) {
-    const auto& s = report.stats;
     std::fprintf(stderr, "-- phases --\n");
     std::size_t width = 0;
     for (const auto& p : s.phases) width = std::max(width, p.name.size());
@@ -264,7 +258,6 @@ void print_metrics(const core::AnalysisReport& report) {
 int main(int argc, char** argv) {
     core::AnalyzerOptions options;
     bool as_json = false;
-    bool stats = false;
     bool metrics = false;
     bool audit = false;
     bool explain = false;
@@ -277,7 +270,6 @@ int main(int argc, char** argv) {
     int verbosity = 0;
     unsigned jobs = 1;
     const char* trace_path = nullptr;
-    const char* profile_out_path = nullptr;
     const char* flamegraph_path = nullptr;
     const char* metrics_prom_path = nullptr;
     const char* manifest_path = nullptr;
@@ -309,8 +301,6 @@ int main(int argc, char** argv) {
         const char* arg = argv[i];
         if (std::strcmp(arg, "--json") == 0) {
             as_json = true;
-        } else if (std::strcmp(arg, "--stats") == 0) {
-            stats = true;
         } else if (std::strcmp(arg, "--metrics") == 0) {
             metrics = true;
         } else if (std::strcmp(arg, "--audit") == 0) {
@@ -330,8 +320,6 @@ int main(int argc, char** argv) {
             if (!(trace_path = value_of(i))) return usage(argv[0]);
         } else if (std::strcmp(arg, "--profile") == 0) {
             profile = true;
-        } else if (std::strcmp(arg, "--profile-out") == 0) {
-            if (!(profile_out_path = value_of(i))) return usage(argv[0]);
         } else if (std::strcmp(arg, "--flamegraph") == 0) {
             if (!(flamegraph_path = value_of(i))) return usage(argv[0]);
         } else if (std::strcmp(arg, "--metrics-prom") == 0) {
@@ -491,7 +479,7 @@ int main(int argc, char** argv) {
     // --flamegraph folds the same span tree --trace exports, so either flag
     // turns the recorder on.
     if (trace_path || flamegraph_path) obs::TraceRecorder::global().set_enabled(true);
-    if (profile || profile_out_path) obs::Profiler::global().set_enabled(true);
+    if (profile) obs::Profiler::global().set_enabled(true);
     if (memtrack_flag) {
         // Enable before the inputs load so the gauges see the whole run's
         // heap, not just the analysis phase.
@@ -575,12 +563,15 @@ int main(int argc, char** argv) {
         inputs[i].text = buffer.str();
     }
 
-    // Batch mode with per-app fault isolation: analyze_batch spends jobs
-    // across apps first and any remainder inside each app, contains per-app
-    // loader/analysis failures as error items, and returns everything in
-    // input order — output is byte-identical for every --jobs value.
+    // Batch mode with per-app fault isolation: analyze_batch_cached replays
+    // --cache-dir hits (none without a cache) and hands the rest to
+    // analyze_batch, which spends jobs across apps first and any remainder
+    // inside each app, contains per-app loader/analysis failures as error
+    // items, and returns everything in input order — output is
+    // byte-identical for every --jobs value.
     options.jobs = jobs;
     auto run_started = std::chrono::steady_clock::now();
+    core::BatchProgress on_progress;
     if (progress) {
         // Progress writes only to stderr, so stdout (the report stream)
         // keeps its determinism guarantee. The status line is routed through
@@ -588,8 +579,7 @@ int main(int argc, char** argv) {
         // redraw it after — a warning never lands glued to a half-drawn
         // "k/N apps" fragment, and the line is cleared to end-of-line on
         // every redraw so a shrinking ETA leaves no stale tail.
-        options.batch_progress = [run_started](std::size_t done,
-                                               std::size_t total) {
+        on_progress = [run_started](std::size_t done, std::size_t total) {
             double elapsed = std::chrono::duration<double>(
                                  std::chrono::steady_clock::now() - run_started)
                                  .count();
@@ -615,15 +605,10 @@ int main(int argc, char** argv) {
         cache_options.max_bytes = static_cast<std::uint64_t>(cache_max_bytes);
         report_cache = std::make_unique<cache::ReportCache>(cache_options);
     }
-    std::vector<core::BatchItem> items;
-    if (report_cache) {
-        cache::CachedBatch cached = cache::analyze_batch_cached(
-            options, report_cache.get(), std::move(inputs));
-        items = std::move(cached.items);
-    } else {
-        core::Analyzer analyzer(options);
-        items = analyzer.analyze_batch(std::move(inputs));
-    }
+    std::vector<core::BatchItem> items =
+        cache::analyze_batch_cached(core::Analyzer(options), report_cache.get(),
+                                    std::move(inputs), on_progress)
+            .items;
     double run_wall_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - run_started)
             .count();
@@ -698,7 +683,6 @@ int main(int argc, char** argv) {
             if (paths.size() > 1) std::printf("== %s ==\n", paths[i]);
             std::printf("%s", report.to_text().c_str());
         }
-        if (stats) print_stats(report);
         if (metrics) print_metrics(report);
     }
     if (as_json && paths.size() > 1) {
@@ -761,18 +745,9 @@ int main(int argc, char** argv) {
         }
     }
     if (profile) {
-        // stderr, like --stats/--metrics: stdout stays the report stream.
+        // stderr, like --metrics: stdout stays the report stream.
         // The table is counts-only and byte-identical for any --jobs value.
         std::fprintf(stderr, "%s", obs::Profiler::global().table().c_str());
-    }
-    if (profile_out_path) {
-        std::ofstream profile_file(profile_out_path);
-        if (!profile_file) {
-            std::fprintf(stderr, "error: cannot write profile to %s\n",
-                         profile_out_path);
-            return 1;
-        }
-        profile_file << obs::Profiler::global().to_json().dump_pretty() << "\n";
     }
     if (flamegraph_path) {
         std::ofstream flame_out(flamegraph_path);
@@ -810,9 +785,7 @@ int main(int argc, char** argv) {
         // whole (they are process state, not per-run work).
         telemetry.set_metrics(
             obs::MetricsRegistry::global().snapshot().delta_since(run_base));
-        if (profile || profile_out_path) {
-            telemetry.set_profile_summary(obs::Profiler::global().summary_json());
-        }
+        if (profile) telemetry.set_profile(obs::Profiler::global());
         if (do_eval) telemetry.set_fleet_accuracy(eval_fleet.accuracy_json());
         if (report_cache) telemetry.set_cache(report_cache->stats_json());
         for (std::size_t i = 0; i < items.size(); ++i) {
