@@ -55,6 +55,40 @@ bool write_all(int fd, std::string_view data) {
     return true;
 }
 
+/// Newline framing over a byte stream at linear cost: every received byte
+/// is searched for '\n' once, consumed lines only advance an offset, and
+/// the buffer is compacted once per read, when new bytes are appended.
+class LineReader {
+public:
+    void append(const char* data, std::size_t size) {
+        buffer_.erase(0, begin_);
+        scanned_ -= begin_;
+        begin_ = 0;
+        buffer_.append(data, size);
+    }
+
+    /// Moves the next complete line (without its '\n') into `line`; false
+    /// when only a partial line is buffered.
+    bool next(std::string& line) {
+        std::size_t newline = buffer_.find('\n', scanned_);
+        if (newline == std::string::npos) {
+            scanned_ = buffer_.size();
+            return false;
+        }
+        line.assign(buffer_, begin_, newline - begin_);
+        begin_ = scanned_ = newline + 1;
+        return true;
+    }
+
+    /// Bytes received but not yet returned as part of a line.
+    [[nodiscard]] std::size_t pending() const { return buffer_.size() - begin_; }
+
+private:
+    std::string buffer_;
+    std::size_t begin_ = 0;    // first byte not yet returned in a line
+    std::size_t scanned_ = 0;  // bytes before this hold no unconsumed '\n'
+};
+
 /// Open connections shared between the accept loop (shutdown broadcast)
 /// and the per-connection threads (self-removal on close).
 struct ConnectionSet {
@@ -416,7 +450,8 @@ void serve_connection(ServerState& state, ConnectionSet& connections, int fd) {
         // their connection attribution without per-span payloads.
         tracer.name_current_thread("conn-" + std::to_string(connection_id));
     }
-    std::string buffer;
+    LineReader reader;
+    std::string line;
     char chunk[4096];
     bool shutdown = false;
     bool dead = false;
@@ -427,11 +462,8 @@ void serve_connection(ServerState& state, ConnectionSet& connections, int fd) {
             break;
         }
         if (n == 0) break;  // client closed (or shutdown_all unblocked us)
-        buffer.append(chunk, static_cast<std::size_t>(n));
-        std::size_t newline = 0;
-        while ((newline = buffer.find('\n')) != std::string::npos) {
-            std::string line = buffer.substr(0, newline);
-            buffer.erase(0, newline + 1);
+        reader.append(chunk, static_cast<std::size_t>(n));
+        while (reader.next(line)) {
             if (line.empty()) continue;
             std::string payload = run_request(state, connection_id, line, shutdown);
             bool sent = write_all(fd, payload);
@@ -445,7 +477,7 @@ void serve_connection(ServerState& state, ConnectionSet& connections, int fd) {
             }
         }
         // A "line" past 64 MiB with no newline is not a protocol client.
-        if (dead || buffer.size() > (64u << 20)) break;
+        if (dead || reader.pending() > (64u << 20)) break;
     }
     state.connections_active->add(-1);
     connections.remove(fd);
@@ -634,22 +666,19 @@ int connect_with_retry(const std::string& socket_path, double timeout_seconds) {
 }
 
 /// Reads one newline-terminated response into `line` (carrying partial data
-/// across calls in `buffer`). Returns false with the error printed when the
+/// across calls in `reader`). Returns false with the error printed when the
 /// daemon closes first.
-bool read_response_line(int fd, std::string& buffer, std::string& line) {
+bool read_response_line(int fd, LineReader& reader, std::string& line) {
     char chunk[4096];
-    std::size_t newline = 0;
-    while ((newline = buffer.find('\n')) == std::string::npos) {
+    while (!reader.next(line)) {
         ssize_t n = ::read(fd, chunk, sizeof chunk);
         if (n < 0 && errno == EINTR) continue;
         if (n <= 0) {
             std::fprintf(stderr, "error: daemon closed the connection\n");
             return false;
         }
-        buffer.append(chunk, static_cast<std::size_t>(n));
+        reader.append(chunk, static_cast<std::size_t>(n));
     }
-    line = buffer.substr(0, newline);
-    buffer.erase(0, newline + 1);
     return true;
 }
 
@@ -662,7 +691,7 @@ int connect_and_analyze(const std::string& socket_path,
     if (fd < 0) return 1;
 
     int exit_code = 0;
-    std::string buffer;
+    LineReader reader;
     for (std::size_t i = 0; i < files.size(); ++i) {
         // Absolute paths: the daemon resolves them from its own cwd.
         std::error_code ec;
@@ -676,7 +705,7 @@ int connect_and_analyze(const std::string& socket_path,
             return 1;
         }
         std::string line;
-        if (!read_response_line(fd, buffer, line)) {
+        if (!read_response_line(fd, reader, line)) {
             ::close(fd);
             return 1;
         }
@@ -706,9 +735,9 @@ int connect_admin(const std::string& socket_path, const std::string& op,
         ::close(fd);
         return 1;
     }
-    std::string buffer;
+    LineReader reader;
     std::string line;
-    if (!read_response_line(fd, buffer, line)) {
+    if (!read_response_line(fd, reader, line)) {
         ::close(fd);
         return 1;
     }

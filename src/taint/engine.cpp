@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <deque>
+#include <memory>
 #include <string_view>
+#include <tuple>
 
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
@@ -96,6 +98,25 @@ void TaintEngine::build_indices() {
         for (std::uint32_t si = begin; si < end; ++si) stmt_owner_block_[si] = fb;
     }
 
+    // CFG edges, CSR-packed per flat block. Source blocks are walked in
+    // ascending order, so every predecessor list is ascending: the order
+    // the backward pass enqueues them in.
+    std::vector<std::vector<BlockId>> preds(total_blocks_);
+    succ_start_.push_back(0);
+    for (std::uint32_t fb = 0; fb < total_blocks_; ++fb) {
+        const Method& method = *methods[flat_block_method_[fb]];
+        for (BlockId succ : method.blocks[flat_block_id_[fb]].successors()) {
+            succ_ids_.push_back(succ);
+            preds[block_base_[flat_block_method_[fb]] + succ].push_back(flat_block_id_[fb]);
+        }
+        succ_start_.push_back(static_cast<std::uint32_t>(succ_ids_.size()));
+    }
+    pred_start_.push_back(0);
+    for (const auto& list : preds) {
+        pred_ids_.insert(pred_ids_.end(), list.begin(), list.end());
+        pred_start_.push_back(static_cast<std::uint32_t>(pred_ids_.size()));
+    }
+
     std::string key;
     auto indexed = [&key](std::string_view prefix, std::string_view a,
                           std::string_view b = {}) {
@@ -147,11 +168,56 @@ void TaintEngine::build_indices() {
 
 // ---------------------------------------------------------------- run ----
 
+struct TaintEngine::MethodState {
+    MethodState(std::size_t blocks, support::Arena* arena)
+        : block_facts(blocks, ArenaPathSet(support::ArenaAllocator<AccessPath>(arena)),
+                      support::ArenaAllocator<ArenaPathSet>(arena)) {}
+
+    /// Forward: facts at block entry. Backward: facts at block exit.
+    std::vector<ArenaPathSet, support::ArenaAllocator<ArenaPathSet>> block_facts;
+    /// Facts describing the method's tainted return value (field
+    /// suffixes on the returned object). Forward direction.
+    std::vector<FieldSeq> return_suffixes;
+    /// Backward: tainted suffixes demanded of the return value.
+    std::vector<FieldSeq> demanded_return;
+    /// Backward: (param, suffix) facts demanded at callee exits.
+    std::vector<std::pair<std::uint32_t, FieldSeq>> demanded_params;
+    /// Forward: heap effects on params discovered at returns.
+    std::vector<std::pair<std::uint32_t, FieldSeq>> param_effects;
+    /// Seeds injected mid-block: (block, stmt index, path). Forward seeds
+    /// take effect after the statement; backward seeds before it.
+    std::vector<std::tuple<xir::BlockId, std::uint32_t, AccessPath>> local_seeds;
+    /// Callers (method, call block) to requeue when the summary grows.
+    std::set<std::pair<std::uint32_t, BlockId>> subscribers;
+};
+
 struct TaintEngine::Run {
-    /// Backs the block_facts sets; declared first so it outlives them.
+    explicit Run(const std::vector<const Method*>& methods)
+        : methods(&methods), states(methods.size(), nullptr) {}
+    ~Run() {
+        for (MethodState* state : states) {
+            if (state != nullptr) std::destroy_at(state);
+        }
+    }
+    Run(const Run&) = delete;
+    Run& operator=(const Run&) = delete;
+
+    /// The state of method `mi`, built in the arena the first time the run
+    /// touches the method. Untouched methods cost one null pointer.
+    MethodState& state(std::uint32_t mi) {
+        MethodState*& slot = states[mi];
+        if (slot == nullptr) {
+            slot = arena.create<MethodState>((*methods)[mi]->blocks.size(), &arena);
+        }
+        return *slot;
+    }
+
+    /// Backs the method states and their fact sets; declared first so it
+    /// outlives them.
     support::Arena arena;
+    const std::vector<const Method*>* methods;
+    std::vector<MethodState*> states;  // per method index; null = untouched
     Direction dir = Direction::kForward;
-    std::vector<MethodState> states;
     /// Tainted global locations with the event roots of their writers
     /// (forward) / demanding readers (backward), as method-index bitsets.
     std::unordered_map<AccessPath, DenseBitset, AccessPathHash> globals;
@@ -159,8 +225,6 @@ struct TaintEngine::Run {
     DenseBitset queued;       // over flat block ids
     DenseBitset stmt_bits;    // over flat statement ids — the slice
     DenseBitset method_bits;  // over method indices
-    /// Callers to requeue when a callee's summary facts grow.
-    std::vector<std::set<std::pair<std::uint32_t, BlockId>>> summary_subscribers;
     std::unordered_map<std::uint32_t, CallTaintEvent> events;  // keyed by flat stmt id
     TaintResult result;
     std::size_t steps = 0;
@@ -235,20 +299,14 @@ TaintResult TaintEngine::run(Direction direction, const std::vector<TaintSeed>& 
     obs::counter("taint.seeds").add(seeds.size());
     obs::Counter& iterations = obs::counter("taint.worklist_iterations");
     obs::Counter& propagations = obs::counter("taint.propagations");
-    Run run;
-    run.dir = direction;
     const auto& methods = program_->method_table();
+    Run run(methods);
+    run.dir = direction;
     // --profile attribution: per-method worklist iterations, kept in a dense
     // local array (one add per iteration) and charged once per run.
     const bool profiling = obs::Profiler::global().enabled();
     std::vector<std::uint64_t> method_iterations;
     if (profiling) method_iterations.resize(methods.size(), 0);
-    run.states.resize(methods.size());
-    run.summary_subscribers.resize(methods.size());
-    const ArenaPathSet arena_set{support::ArenaAllocator<AccessPath>(&run.arena)};
-    for (std::uint32_t mi = 0; mi < methods.size(); ++mi) {
-        run.states[mi].block_facts.assign(methods[mi]->blocks.size(), arena_set);
-    }
     run.queued.resize(total_blocks_);
     run.stmt_bits.resize(total_stmts_);
     run.method_bits.resize(methods.size());
@@ -271,10 +329,10 @@ TaintResult TaintEngine::run(Direction direction, const std::vector<TaintSeed>& 
 
     for (const auto& seed : seeds) {
         if (seed.at_block_boundary) {
-            run.states[seed.stmt.method_index].block_facts[seed.stmt.block].insert(
+            run.state(seed.stmt.method_index).block_facts[seed.stmt.block].insert(
                 seed.path);
         } else {
-            run.states[seed.stmt.method_index].local_seeds.emplace_back(
+            run.state(seed.stmt.method_index).local_seeds.emplace_back(
                 seed.stmt.block, seed.stmt.index, seed.path);
             run.stmt_bits.set(flat_stmt(seed.stmt));
         }
@@ -475,7 +533,7 @@ TaintResult TaintEngine::run(Direction direction, const std::vector<TaintSeed>& 
                         note_stmt(ref);
                     }
                 } else if constexpr (std::is_same_v<T, Return>) {
-                    MethodState& state = run.states[mi];
+                    MethodState& state = run.state(mi);
                     bool grew = false;
                     if (s.value && s.value->is_local()) {
                         for (const auto& p : rooted(facts, s.value->local)) {
@@ -502,7 +560,7 @@ TaintResult TaintEngine::run(Direction direction, const std::vector<TaintSeed>& 
                         }
                     }
                     if (grew) {
-                        for (const auto& sub : run.summary_subscribers[mi]) {
+                        for (const auto& sub : state.subscribers) {
                             enqueue(sub.first, sub.second);
                         }
                         // Context-insensitive return flow: every call site
@@ -532,7 +590,7 @@ TaintResult TaintEngine::run(Direction direction, const std::vector<TaintSeed>& 
                         // Bind actuals to formals; inject into callee entry.
                         for (const auto& edge : app_edges) {
                             const Method& callee = program_->method_at(edge.callee);
-                            MethodState& cstate = run.states[edge.callee];
+                            MethodState& cstate = run.state(edge.callee);
                             ArenaPathSet& centry = cstate.block_facts[0];
                             bool grew = false;
                             std::uint32_t formal0 = callee.is_static ? 0 : 1;
@@ -553,7 +611,7 @@ TaintResult TaintEngine::run(Direction direction, const std::vector<TaintSeed>& 
                                 }
                             }
                             if (grew) enqueue(edge.callee, 0);
-                            run.summary_subscribers[edge.callee].insert({mi, b});
+                            cstate.subscribers.insert({mi, b});
 
                             // Apply the callee's current summary.
                             if (s.dst) {
@@ -893,7 +951,7 @@ TaintResult TaintEngine::run(Direction direction, const std::vector<TaintSeed>& 
                                                    [](bool v) { return v; });
                         for (const auto& edge : app_edges) {
                             const Method& callee = program_->method_at(edge.callee);
-                            MethodState& cstate = run.states[edge.callee];
+                            MethodState& cstate = run.state(edge.callee);
                             bool grew = false;
                             if (dst_t) {
                                 for (const auto& p : rooted(facts, *s.dst)) {
@@ -1166,7 +1224,7 @@ TaintResult TaintEngine::run(Direction direction, const std::vector<TaintSeed>& 
         if (profiling) ++method_iterations[mi];
 
         const Method& method = *methods[mi];
-        MethodState& state = run.states[mi];
+        MethodState& state = run.state(mi);
         const auto& stmts = method.blocks[b].statements;
 
         // The per-iteration scratch copy stays heap-backed on purpose:
@@ -1181,7 +1239,9 @@ TaintResult TaintEngine::run(Direction direction, const std::vector<TaintSeed>& 
                     if (sb == b && si == i) add_path(facts, path);
                 }
             }
-            for (BlockId succ : method.blocks[b].successors()) {
+            const std::uint32_t fb = block_base_[mi] + b;
+            for (std::uint32_t k = succ_start_[fb]; k < succ_start_[fb + 1]; ++k) {
+                BlockId succ = succ_ids_[k];
                 ArenaPathSet& target = state.block_facts[succ];
                 bool grew = false;
                 for (const auto& p : facts) grew |= add_path(target, p);
@@ -1235,7 +1295,7 @@ TaintResult TaintEngine::run(Direction direction, const std::vector<TaintSeed>& 
                             }
                         }
                         if (!actual) continue;
-                        MethodState& caller_state = run.states[edge.caller];
+                        MethodState& caller_state = run.state(edge.caller);
                         AccessPath cp =
                             local_with_fields(*actual, p.fields, p.global_hops);
                         auto seed = std::make_tuple(edge.site.block, edge.site.index, cp);
@@ -1250,15 +1310,9 @@ TaintResult TaintEngine::run(Direction direction, const std::vector<TaintSeed>& 
                     }
                 }
             }
-            for (BlockId pred : [&] {
-                     std::vector<BlockId> preds;
-                     for (BlockId pb = 0; pb < method.blocks.size(); ++pb) {
-                         for (BlockId succ : method.blocks[pb].successors()) {
-                             if (succ == b) preds.push_back(pb);
-                         }
-                     }
-                     return preds;
-                 }()) {
+            const std::uint32_t fb = block_base_[mi] + b;
+            for (std::uint32_t k = pred_start_[fb]; k < pred_start_[fb + 1]; ++k) {
+                BlockId pred = pred_ids_[k];
                 ArenaPathSet& target = state.block_facts[pred];
                 bool grew = false;
                 for (const auto& p : facts) grew |= add_path(target, p);

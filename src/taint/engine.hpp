@@ -21,7 +21,9 @@
 // Memory layout (DESIGN.md §13): taint facts are POD AccessPaths over
 // interned symbols; per-run fact sets live in a bump arena; dense per-run
 // bookkeeping (queued blocks, slice statements/methods, event-root
-// reachability) is bit-packed and propagated with bulk word-ORs.
+// reachability) is bit-packed and propagated with bulk word-ORs. A run
+// builds a method's state on first touch, so its set-up and tear-down cost
+// follows the methods it reaches, not the size of the program.
 #pragma once
 
 #include <functional>
@@ -110,24 +112,8 @@ public:
     [[nodiscard]] TaintResult run(Direction direction, const std::vector<TaintSeed>& seeds);
 
 private:
-    struct MethodState {
-        /// Forward: facts at block entry. Backward: facts at block exit.
-        std::vector<ArenaPathSet> block_facts;
-        /// Facts describing the method's tainted return value (field
-        /// suffixes on the returned object). Forward direction.
-        std::vector<FieldSeq> return_suffixes;
-        /// Backward: tainted suffixes demanded of the return value.
-        std::vector<FieldSeq> demanded_return;
-        /// Backward: (param, suffix) facts demanded at callee exits.
-        std::vector<std::pair<std::uint32_t, FieldSeq>> demanded_params;
-        /// Forward: heap effects on params discovered at returns.
-        std::vector<std::pair<std::uint32_t, FieldSeq>> param_effects;
-        /// Seeds injected mid-block: (block, stmt index, path). Forward seeds
-        /// take effect after the statement; backward seeds before it.
-        std::vector<std::tuple<xir::BlockId, std::uint32_t, AccessPath>> local_seeds;
-    };
-
-    struct Run;  // per-run mutable state, defined in the .cpp
+    struct MethodState;  // per-run state of one method, created on first touch
+    struct Run;          // per-run mutable state, defined in the .cpp
 
     const xir::Program* program_;
     const xir::CallGraph* callgraph_;
@@ -155,6 +141,13 @@ private:
     std::vector<std::uint32_t> flat_block_method_;
     std::vector<xir::BlockId> flat_block_id_;
     std::vector<std::uint32_t> stmt_owner_block_; // per flat statement
+    /// Intra-method CFG edges over flat block ids, CSR-packed: the
+    /// successors of flat block fb are succ_ids_[succ_start_[fb] ..
+    /// succ_start_[fb + 1]), likewise for predecessors (ascending).
+    std::vector<std::uint32_t> succ_start_;
+    std::vector<xir::BlockId> succ_ids_;
+    std::vector<std::uint32_t> pred_start_;
+    std::vector<xir::BlockId> pred_ids_;
     std::uint32_t total_blocks_ = 0;
     std::uint32_t total_stmts_ = 0;
 

@@ -8,8 +8,11 @@
 // gauges all race here if they can race at all.
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <filesystem>
 #include <mutex>
 #include <set>
@@ -89,6 +92,57 @@ TEST(DaemonTest, HealthAndUnknownOps) {
     Json bad_format = DaemonFixture::request(fd, R"({"op":"metrics","format":"xml"})");
     EXPECT_FALSE(ok_of(bad_format));
     ::close(fd);
+}
+
+TEST(DaemonTest, PipelinedAndBytewiseRequestsAreAnsweredInOrder) {
+    TempDir dir("framing");
+    DaemonFixture daemon(base_options(dir));
+    int fd = daemon.connect_fd();
+    ASSERT_GE(fd, 0);
+    // A framing bug that loses a line must fail the test, not hang it.
+    timeval timeout{10, 0};
+    ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout), 0);
+    auto ping = [](int id) {
+        return R"({"op":"ping","id":)" + std::to_string(id) + "}\n";
+    };
+    // One write carrying three requests and a blank line and ending mid-
+    // request; a second write finishing that request and carrying one more;
+    // then a request delivered one byte at a time.
+    std::string first = ping(1) + ping(2) + "\n" + ping(3) + ping(4);
+    std::string second = first.substr(first.size() - 7) + ping(5);
+    first.resize(first.size() - 7);
+    ASSERT_EQ(::write(fd, first.data(), first.size()), static_cast<ssize_t>(first.size()));
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    ASSERT_EQ(::write(fd, second.data(), second.size()),
+              static_cast<ssize_t>(second.size()));
+    for (char byte : ping(6)) {
+        ASSERT_EQ(::write(fd, &byte, 1), 1);
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+
+    std::string received;
+    std::vector<Json> responses;
+    char chunk[4096];
+    while (responses.size() < 6) {
+        ssize_t n = ::read(fd, chunk, sizeof chunk);
+        ASSERT_GT(n, 0) << "daemon closed after " << responses.size() << " responses";
+        received.append(chunk, static_cast<std::size_t>(n));
+        std::size_t newline = 0;
+        while ((newline = received.find('\n')) != std::string::npos) {
+            auto parsed = text::parse_json(received.substr(0, newline));
+            ASSERT_TRUE(parsed.ok());
+            responses.push_back(parsed.value());
+            received.erase(0, newline + 1);
+        }
+    }
+    ::close(fd);
+    ASSERT_EQ(responses.size(), 6u);
+    EXPECT_TRUE(received.empty());
+    for (std::size_t i = 0; i < responses.size(); ++i) {
+        EXPECT_TRUE(ok_of(responses[i]));
+        ASSERT_NE(responses[i].find("id"), nullptr);
+        EXPECT_EQ(responses[i].find("id")->as_int(), static_cast<std::int64_t>(i + 1));
+    }
 }
 
 TEST(DaemonTest, StatusReportsRequestsCacheAndWindowedLatency) {

@@ -282,3 +282,317 @@ TEST(TaintForward, CallEventsReportTaintedArgs) {
     }
     EXPECT_TRUE(seen);
 }
+
+// ---- per-run method state is built on first touch ----
+
+namespace {
+
+/// The first statement of method `ref` satisfying `pred`, in block order.
+template <typename Pred>
+StmtRef find_stmt(const Program& program, const MethodRef& ref, Pred pred) {
+    auto mi = program.method_index(ref);
+    EXPECT_TRUE(mi.has_value()) << ref.qualified();
+    const Method& m = program.method_at(*mi);
+    for (BlockId b = 0; b < m.blocks.size(); ++b) {
+        const auto& stmts = m.blocks[b].statements;
+        for (std::uint32_t i = 0; i < stmts.size(); ++i) {
+            if (pred(stmts[i])) return {*mi, b, i};
+        }
+    }
+    ADD_FAILURE() << "statement not found in " << ref.qualified();
+    return {};
+}
+
+bool stores_static(const Statement& stmt, const char* field) {
+    const auto* store = std::get_if<StoreStatic>(&stmt);
+    return store != nullptr && store->field == field;
+}
+
+bool has_static(const TaintResult& result, const char* field) {
+    for (const auto& g : result.globals) {
+        if (g.is_static() && in_str(g.key) == field) return true;
+    }
+    return false;
+}
+
+/// A helper returning a built URL, a static crossing two events, JSON
+/// parsing, a branch and a loop — followed by `unreachable` methods that
+/// nothing calls (each a StringBuilder chain, a branch, a static store of
+/// its own and a call to its predecessor).
+Program make_layered_app(int unreachable) {
+    ProgramBuilder pb("layered");
+    auto cls = pb.add_class("com.t.L");
+    {
+        auto mb = cls.method("buildUrl");
+        mb.returns("java.lang.String");
+        LocalId base = mb.param("base", "java.lang.String");
+        LocalId sb = mb.local("sb", "java.lang.StringBuilder");
+        mb.new_object(sb, "java.lang.StringBuilder");
+        mb.special(sb, "java.lang.StringBuilder.<init>", {Operand(base)});
+        LocalId i = mb.local("i", "int");
+        mb.assign(i, ci(0));
+        mb.while_loop(lt(Operand(i), ci(3)), [&](MethodBuilder& body) {
+            body.vcall(sb, sb, "java.lang.StringBuilder.append", {cs("/p")});
+            body.binop(i, BinaryOp::Op::kAdd, Operand(i), ci(1));
+        });
+        LocalId url = mb.local("url", "java.lang.String");
+        mb.vcall(url, sb, "java.lang.StringBuilder.toString");
+        mb.ret(Operand(url));
+    }
+    {
+        auto mb = cls.method("onCreate");
+        LocalId token = mb.local("token", "java.lang.String");
+        mb.assign(token, cs("secret"));
+        mb.store_static("com.t.L", "sToken", Operand(token));
+        mb.ret();
+    }
+    {
+        auto mb = cls.method("onClick");
+        LocalId base = mb.local("base", "java.lang.String");
+        mb.assign(base, cs("http://l/"));
+        LocalId url = mb.local("url", "java.lang.String");
+        mb.vcall(url, mb.self(), "com.t.L.buildUrl", {Operand(base)});
+        LocalId token = mb.local("token", "java.lang.String");
+        mb.load_static(token, "com.t.L", "sToken");
+        LocalId full = mb.local("full", "java.lang.String");
+        mb.concat(full, Operand(url), Operand(token));
+        LocalId req = mb.local("req", "org.apache.http.client.methods.HttpGet");
+        mb.new_object(req, "org.apache.http.client.methods.HttpGet");
+        mb.special(req, "org.apache.http.client.methods.HttpGet.<init>", {Operand(full)});
+        LocalId client = mb.local("client", "org.apache.http.client.HttpClient");
+        LocalId resp = mb.local("resp", "org.apache.http.HttpResponse");
+        mb.vcall(resp, client, "org.apache.http.client.HttpClient.execute", {Operand(req)});
+        LocalId entity = mb.local("entity", "org.apache.http.HttpEntity");
+        mb.vcall(entity, resp, "org.apache.http.HttpResponse.getEntity");
+        LocalId body = mb.local("body", "java.lang.String");
+        mb.scall(body, "org.apache.http.util.EntityUtils.toString", {Operand(entity)});
+        LocalId json = mb.local("json", "org.json.JSONObject");
+        mb.new_object(json, "org.json.JSONObject");
+        mb.special(json, "org.json.JSONObject.<init>", {Operand(body)});
+        LocalId name = mb.local("name", "java.lang.String");
+        mb.vcall(name, json, "org.json.JSONObject.getString", {cs("name")});
+        mb.if_then_else(
+            eq(Operand(name), cnull()),
+            [&](MethodBuilder& then) { then.store_static("com.t.L", "sName", cs("none")); },
+            [&](MethodBuilder& other) {
+                other.store_static("com.t.L", "sName", Operand(name));
+            });
+        mb.ret();
+    }
+    pb.register_event({"com.t.L", "onCreate"}, EventKind::kOnCreate, "create");
+    pb.register_event({"com.t.L", "onClick"}, EventKind::kOnClick, "click");
+    if (unreachable > 0) {
+        auto extra = pb.add_class("com.t.Unreached");
+        for (int k = 0; k < unreachable; ++k) {
+            auto mb = extra.method("u" + std::to_string(k));
+            mb.returns("java.lang.String");
+            LocalId s = mb.param("s", "java.lang.String");
+            LocalId sb = mb.local("sb", "java.lang.StringBuilder");
+            mb.new_object(sb, "java.lang.StringBuilder");
+            mb.special(sb, "java.lang.StringBuilder.<init>", {Operand(s)});
+            mb.vcall(sb, sb, "java.lang.StringBuilder.append", {cs("x")});
+            LocalId out = mb.local("out", "java.lang.String");
+            mb.vcall(out, sb, "java.lang.StringBuilder.toString");
+            mb.if_then(ne(Operand(out), cnull()), [&](MethodBuilder& then) {
+                then.store_static("com.t.Unreached", "f" + std::to_string(k), Operand(out));
+            });
+            if (k > 0) {
+                mb.vcall(std::nullopt, mb.self(),
+                         "com.t.Unreached.u" + std::to_string(k - 1), {Operand(out)});
+            }
+            mb.ret(Operand(out));
+        }
+    }
+    return pb.build();
+}
+
+void expect_same_result(const TaintResult& a, const TaintResult& b, const std::string& what) {
+    SCOPED_TRACE(what);
+    EXPECT_EQ(a.statements, b.statements);
+    EXPECT_EQ(a.methods, b.methods);
+    EXPECT_EQ(a.globals, b.globals);
+    EXPECT_EQ(a.steps_used, b.steps_used);
+    EXPECT_EQ(a.truncated, b.truncated);
+    ASSERT_EQ(a.call_events.size(), b.call_events.size());
+    for (std::size_t i = 0; i < a.call_events.size(); ++i) {
+        EXPECT_EQ(a.call_events[i].stmt, b.call_events[i].stmt);
+        EXPECT_EQ(a.call_events[i].base_tainted, b.call_events[i].base_tainted);
+        EXPECT_EQ(a.call_events[i].dst_tainted, b.call_events[i].dst_tainted);
+        EXPECT_EQ(a.call_events[i].args_tainted, b.call_events[i].args_tainted);
+    }
+}
+
+}  // namespace
+
+TEST(TaintLazyState, BoundarySeedInUnreachedMethod) {
+    // Nothing calls check(); a seed at its entry block must still flow
+    // through its branch into the static store.
+    ProgramBuilder pb("orphan");
+    auto cls = pb.add_class("com.t.O");
+    LocalId p = 0;
+    {
+        auto mb = cls.method("check");
+        p = mb.param("p", "java.lang.String");
+        LocalId copy = mb.local("copy", "java.lang.String");
+        mb.assign(copy, Operand(p));
+        mb.if_then(ne(Operand(copy), cnull()), [&](MethodBuilder& then) {
+            then.store_static("com.t.O", "sSeen", Operand(copy));
+        });
+        mb.ret();
+    }
+    {
+        auto mb = cls.method("onClick");
+        mb.store_static("com.t.O", "sOther", cs("x"));
+        mb.ret();
+    }
+    pb.register_event({"com.t.O", "onClick"}, EventKind::kOnClick, "click");
+    Fixture fx(pb.build());
+    auto mi = fx.program.method_index({"com.t.O", "check"});
+    ASSERT_TRUE(mi.has_value());
+    const Method& check = fx.program.method_at(*mi);
+    ASSERT_GT(check.blocks.size(), 1u);
+
+    TaintSeed seed{StmtRef{*mi, 0, 0}, AccessPath::of_local(p), /*at_block_boundary=*/true};
+    auto result = fx.engine->run(Direction::kForward, {seed});
+    EXPECT_EQ(result.methods, std::set<std::uint32_t>{*mi});
+    EXPECT_TRUE(result.contains(
+        find_stmt(fx.program, {"com.t.O", "check"},
+                  [](const Statement& s) { return stores_static(s, "sSeen"); })));
+    EXPECT_TRUE(has_static(result, "sSeen"));
+    EXPECT_FALSE(has_static(result, "sOther"));
+    EXPECT_FALSE(result.truncated);
+}
+
+TEST(TaintLazyState, CallSiteCreatedCalleeRequeuesSubscribersWhenSummaryGrows) {
+    // onClick stores a tainted static, then calls get() before any taint
+    // has reached get(): the call site builds get()'s state with an empty
+    // summary. get() then reads the static, its return summary grows, and
+    // the call site must be revisited so the result reaches sOut.
+    ProgramBuilder pb("subscribers");
+    auto cls = pb.add_class("com.t.S");
+    {
+        auto mb = cls.method("get");
+        mb.returns("java.lang.String");
+        LocalId v = mb.local("v", "java.lang.String");
+        mb.load_static(v, "com.t.S", "sIn");
+        mb.ret(Operand(v));
+    }
+    {
+        auto mb = cls.method("onClick");
+        LocalId a = mb.local("a", "java.lang.String");
+        mb.assign(a, cs("seed"));
+        mb.store_static("com.t.S", "sIn", Operand(a));
+        LocalId r = mb.local("r", "java.lang.String");
+        mb.vcall(r, mb.self(), "com.t.S.get");
+        mb.store_static("com.t.S", "sOut", Operand(r));
+        mb.ret();
+    }
+    pb.register_event({"com.t.S", "onClick"}, EventKind::kOnClick, "click");
+    Fixture fx(pb.build());
+    auto on_click = fx.program.method_index({"com.t.S", "onClick"});
+    auto get = fx.program.method_index({"com.t.S", "get"});
+    ASSERT_TRUE(on_click && get);
+
+    const auto& assign =
+        std::get<AssignConst>(fx.program.statement(StmtRef{*on_click, 0, 0}));
+    auto result = fx.engine->run(Direction::kForward,
+                                 {{StmtRef{*on_click, 0, 0}, AccessPath::of_local(assign.dst)}});
+    EXPECT_TRUE(has_static(result, "sIn"));
+    EXPECT_TRUE(has_static(result, "sOut"));
+    EXPECT_TRUE(result.contains(fx.find_call("com.t.S.onClick", "get")));
+    EXPECT_TRUE(result.contains(
+        find_stmt(fx.program, {"com.t.S", "onClick"},
+                  [](const Statement& s) { return stores_static(s, "sOut"); })));
+    EXPECT_EQ(result.methods, (std::set<std::uint32_t>{*on_click, *get}));
+}
+
+TEST(TaintLazyState, BackwardFlowReachesCallerFirstTouchedThroughLocalSeeds) {
+    // The backward seed sits in send(); its parameter demand is the first
+    // thing that touches onClick, through a caller-side local seed.
+    ProgramBuilder pb("callerseed");
+    auto cls = pb.add_class("com.t.B");
+    {
+        auto mb = cls.method("send");
+        LocalId p = mb.param("p", "java.lang.String");
+        LocalId url = mb.local("url", "java.lang.String");
+        mb.concat(url, Operand(p), cs("/x"));
+        mb.store_static("com.t.B", "sUrl", Operand(url));
+        mb.ret();
+    }
+    {
+        auto mb = cls.method("onClick");
+        LocalId host = mb.local("host", "java.lang.String");
+        mb.assign(host, cs("http://b"));
+        LocalId unrelated = mb.local("unrelated", "java.lang.String");
+        mb.assign(unrelated, cs("n/a"));
+        mb.vcall(std::nullopt, mb.self(), "com.t.B.send", {Operand(host)});
+        mb.store_static("com.t.B", "sOther", Operand(unrelated));
+        mb.ret();
+    }
+    pb.register_event({"com.t.B", "onClick"}, EventKind::kOnClick, "click");
+    Fixture fx(pb.build());
+    auto send = fx.program.method_index({"com.t.B", "send"});
+    auto on_click = fx.program.method_index({"com.t.B", "onClick"});
+    ASSERT_TRUE(send && on_click);
+
+    StmtRef store = find_stmt(fx.program, {"com.t.B", "send"},
+                              [](const Statement& s) { return stores_static(s, "sUrl"); });
+    const auto& stmt = std::get<StoreStatic>(fx.program.statement(store));
+    auto result = fx.engine->run(Direction::kBackward,
+                                 {{store, AccessPath::of_local(stmt.src.local)}});
+    EXPECT_EQ(result.methods, (std::set<std::uint32_t>{*on_click, *send}));
+    StmtRef call = fx.find_call("com.t.B.onClick", "send");
+    EXPECT_TRUE(result.contains(call));
+    // The constant feeding the argument is in the slice; the unrelated one
+    // is not.
+    EXPECT_TRUE(result.contains(StmtRef{*on_click, 0, 0}));
+    EXPECT_FALSE(result.contains(StmtRef{*on_click, 0, 1}));
+}
+
+TEST(TaintLazyState, UnreachableMethodsLeaveEveryResultFieldUnchanged) {
+    Fixture base(make_layered_app(0));
+    // Seeds: forward from every call result, backward from every local
+    // call argument and receiver, and a forward entry seed on buildUrl.
+    std::vector<std::pair<Direction, std::vector<TaintSeed>>> runs;
+    const auto& methods = base.program.method_table();
+    for (std::uint32_t mi = 0; mi < methods.size(); ++mi) {
+        for (BlockId b = 0; b < methods[mi]->blocks.size(); ++b) {
+            const auto& stmts = methods[mi]->blocks[b].statements;
+            for (std::uint32_t i = 0; i < stmts.size(); ++i) {
+                const auto* call = std::get_if<Invoke>(&stmts[i]);
+                if (call == nullptr) continue;
+                StmtRef ref{mi, b, i};
+                if (call->dst) {
+                    runs.push_back({Direction::kForward,
+                                    {{ref, AccessPath::of_local(*call->dst)}}});
+                }
+                std::vector<TaintSeed> backward;
+                if (call->base) backward.push_back({ref, AccessPath::of_local(*call->base)});
+                for (const auto& arg : call->args) {
+                    if (arg.is_local()) backward.push_back({ref, AccessPath::of_local(arg.local)});
+                }
+                if (!backward.empty()) runs.push_back({Direction::kBackward, backward});
+            }
+        }
+    }
+    auto build_url = base.program.method_index({"com.t.L", "buildUrl"});
+    ASSERT_TRUE(build_url.has_value());
+    // buildUrl is an instance method, so local 1 is its `base` parameter.
+    runs.push_back({Direction::kForward,
+                    {{StmtRef{*build_url, 0, 0}, AccessPath::of_local(1), true}}});
+    ASSERT_GT(runs.size(), 10u);
+
+    std::vector<TaintResult> expected;
+    for (const auto& [direction, seeds] : runs) {
+        expected.push_back(base.engine->run(direction, seeds));
+    }
+    for (int k : {1, 7, 40}) {
+        Fixture grown(make_layered_app(k));
+        ASSERT_EQ(grown.program.method_table().size(), methods.size() + k);
+        for (std::size_t r = 0; r < runs.size(); ++r) {
+            const auto& [direction, seeds] = runs[r];
+            expect_same_result(expected[r], grown.engine->run(direction, seeds),
+                               "k=" + std::to_string(k) + " run " + std::to_string(r));
+        }
+    }
+}
