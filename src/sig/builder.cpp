@@ -52,9 +52,16 @@ const std::string* const_string_arg(const Invoke& call, std::size_t index) {
 /// context walk so cross-event values become visible.
 class Interp {
 public:
+    using Producers = std::vector<std::pair<std::uint32_t, support::DenseBitset>>;
+
     Interp(const Program& program, const CallGraph& callgraph,
-           const semantics::SemanticModel& model, const BuildRequest& request)
-        : program_(&program), callgraph_(&callgraph), model_(&model), request_(&request) {
+           const semantics::SemanticModel& model, const Producers& producers,
+           const BuildRequest& request)
+        : program_(&program),
+          callgraph_(&callgraph),
+          model_(&model),
+          producers_(&producers),
+          request_(&request) {
         response_root_ = std::make_shared<DemandNode>();
         if (obs::Profiler::global().enabled()) {
             method_stmts_.resize(program.method_table().size(), 0);
@@ -68,11 +75,17 @@ public:
             request_->context.empty()
                 ? request_->dp_site.method_index
                 : request_->context.front().caller;
-        for (const auto& event : program_->events) {
-            auto mi = program_->method_index(event.handler);
-            if (!mi || *mi == root) continue;
-            if (!touches_slice(*mi)) continue;
-            interpret(*mi, {}, 0, /*live=*/false, 0);
+        // A producer qualifies when any method it reaches holds a slice
+        // statement; the slice's methods are marked once per build.
+        support::DenseBitset slice_methods;
+        if (request_->slice) {
+            slice_methods.resize(program_->method_table().size());
+            for (const StmtRef& ref : *request_->slice) slice_methods.set(ref.method_index);
+        }
+        for (const auto& [handler, reach] : *producers_) {
+            if (handler == root) continue;
+            if (request_->slice && !reach.intersects(slice_methods)) continue;
+            interpret(handler, {}, 0, /*live=*/false, 0);
         }
 
         std::vector<SigValue> root_args;
@@ -122,16 +135,6 @@ private:
 
     bool in_slice(const StmtRef& ref) const {
         return !request_->slice || request_->slice->count(ref) > 0;
-    }
-
-    bool touches_slice(std::uint32_t root) const {
-        if (!request_->slice) return true;
-        for (std::uint32_t mi : callgraph_->reachable_from({root})) {
-            for (const auto& ref : *request_->slice) {
-                if (ref.method_index == mi) return true;
-            }
-        }
-        return false;
     }
 
     SigValue value_of(const Env& env, const Method& method, const Operand& op) const {
@@ -1401,6 +1404,7 @@ private:
     const Program* program_;
     const CallGraph* callgraph_;
     const semantics::SemanticModel* model_;
+    const Producers* producers_;
     const BuildRequest* request_;
 
     std::map<std::string, SigValue> statics_;
@@ -1439,12 +1443,21 @@ public:
 
 SignatureBuilder::SignatureBuilder(const Program& program, const CallGraph& callgraph,
                                    const semantics::SemanticModel& model)
-    : program_(&program), callgraph_(&callgraph), model_(&model) {}
+    : program_(&program), callgraph_(&callgraph), model_(&model) {
+    const std::size_t method_count = program.method_table().size();
+    for (const auto& event : program.events) {
+        auto mi = program.method_index(event.handler);
+        if (!mi) continue;
+        support::DenseBitset reach(method_count);
+        for (std::uint32_t m : callgraph.reachable_from({*mi})) reach.set(m);
+        producers_.emplace_back(*mi, std::move(reach));
+    }
+}
 
 std::optional<TransactionSignature> SignatureBuilder::build(const BuildRequest& request,
                                                             BuildStats* stats) {
     obs::Span span("sig.build", "sig");
-    Interp interp(*program_, *callgraph_, *model_, request);
+    Interp interp(*program_, *callgraph_, *model_, producers_, request);
     auto signature = interp.run();
     interp.flush_profile();
     if (stats) {

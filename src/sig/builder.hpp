@@ -14,12 +14,14 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "http/message.hpp"
 #include "semantics/model.hpp"
 #include "sig/sig.hpp"
 #include "sig/value.hpp"
+#include "support/bitset.hpp"
 #include "xir/callgraph.hpp"
 #include "xir/ir.hpp"
 
@@ -82,6 +84,11 @@ private:
     const xir::Program* program_;
     const xir::CallGraph* callgraph_;
     const semantics::SemanticModel* model_;
+    /// Producer pre-pass candidates, one per program.events registration
+    /// whose handler exists, in registration order: the handler's method
+    /// index and the set of methods reachable from it, computed once here
+    /// rather than per build.
+    std::vector<std::pair<std::uint32_t, support::DenseBitset>> producers_;
 };
 
 }  // namespace extractocol::sig

@@ -128,20 +128,24 @@ void TaintEngine::build_indices() {
         }
         return in::intern(key);
     };
+    // Statements are walked in flat-id order, so api_of_ fills by push_back.
+    api_of_.reserve(total_stmts_);
     for (std::uint32_t mi = 0; mi < methods.size(); ++mi) {
         const Method& method = *methods[mi];
         for (BlockId b = 0; b < method.blocks.size(); ++b) {
             for (const auto& stmt : method.blocks[b].statements) {
+                const auto* call = std::get_if<Invoke>(&stmt);
+                const ApiModel* api =
+                    call ? model_->api(call->callee.class_name, call->callee.method_name)
+                         : nullptr;
+                api_of_.push_back(api);
                 if (const auto* load = std::get_if<LoadStatic>(&stmt)) {
                     global_readers_[indexed("static:", load->class_name, load->field)]
                         .emplace_back(mi, b);
                 } else if (const auto* store = std::get_if<StoreStatic>(&stmt)) {
                     global_writers_[indexed("static:", store->class_name, store->field)]
                         .emplace_back(mi, b);
-                } else if (const auto* call = std::get_if<Invoke>(&stmt)) {
-                    const ApiModel* api =
-                        model_->api(call->callee.class_name, call->callee.method_name);
-                    if (!api) continue;
+                } else if (api) {
                     if (api->action == SigAction::kDbQuery) {
                         if (const auto* table = const_string_arg(*call, 0)) {
                             global_readers_[indexed("db:", *table)].emplace_back(mi, b);
@@ -310,10 +314,6 @@ TaintResult TaintEngine::run(Direction direction, const std::vector<TaintSeed>& 
     run.queued.resize(total_blocks_);
     run.stmt_bits.resize(total_stmts_);
     run.method_bits.resize(methods.size());
-
-    auto flat_stmt = [&](const StmtRef& ref) {
-        return stmt_block_start_[block_base_[ref.method_index] + ref.block] + ref.index;
-    };
 
     auto enqueue = [&](std::uint32_t mi, BlockId b) {
         if (run.queued.set(block_base_[mi] + b)) {
@@ -581,8 +581,7 @@ TaintResult TaintEngine::run(Direction direction, const std::vector<TaintSeed>& 
                     bool any_input = base_t || any_arg_t;
 
                     auto app_edges = callgraph_->edges_at(ref);
-                    const ApiModel* api =
-                        model_->api(s.callee.class_name, s.callee.method_name);
+                    const ApiModel* api = api_of_[flat_stmt(ref)];
 
                     bool produced = false;
                     if (!app_edges.empty()) {
@@ -942,8 +941,7 @@ TaintResult TaintEngine::run(Direction direction, const std::vector<TaintSeed>& 
                         args_t[ai] = operand_tainted(facts, s.args[ai]);
                     }
                     auto app_edges = callgraph_->edges_at(ref);
-                    const ApiModel* api =
-                        model_->api(s.callee.class_name, s.callee.method_name);
+                    const ApiModel* api = api_of_[flat_stmt(ref)];
 
                     if (!app_edges.empty()) {
                         bool touched = dst_t || base_t ||

@@ -111,6 +111,13 @@ public:
 
     [[nodiscard]] TaintResult run(Direction direction, const std::vector<TaintSeed>& seeds);
 
+    /// The semantic model of the API an Invoke at `ref` calls, resolved once
+    /// when the engine is built; null for app calls, unmodeled APIs and
+    /// statements that are not calls.
+    [[nodiscard]] const semantics::ApiModel* api_at(const xir::StmtRef& ref) const {
+        return api_of_[flat_stmt(ref)];
+    }
+
 private:
     struct MethodState;  // per-run state of one method, created on first touch
     struct Run;          // per-run mutable state, defined in the .cpp
@@ -141,6 +148,9 @@ private:
     std::vector<std::uint32_t> flat_block_method_;
     std::vector<xir::BlockId> flat_block_id_;
     std::vector<std::uint32_t> stmt_owner_block_; // per flat statement
+    /// SemanticModel::api() of each flat statement's callee, looked up once
+    /// here so no run resolves a callee by name (null = none, see api_at).
+    std::vector<const semantics::ApiModel*> api_of_;
     /// Intra-method CFG edges over flat block ids, CSR-packed: the
     /// successors of flat block fb are succ_ids_[succ_start_[fb] ..
     /// succ_start_[fb + 1]), likewise for predecessors (ascending).
@@ -152,6 +162,10 @@ private:
     std::uint32_t total_stmts_ = 0;
 
     void build_indices();
+
+    [[nodiscard]] std::uint32_t flat_stmt(const xir::StmtRef& ref) const {
+        return stmt_block_start_[block_base_[ref.method_index] + ref.block] + ref.index;
+    }
 };
 
 }  // namespace extractocol::taint

@@ -59,9 +59,9 @@ std::string source_name(SourceKind kind) {
 }  // namespace
 
 DependencyAnalyzer::DependencyAnalyzer(const Program& program, const CallGraph& callgraph,
-                                       const semantics::SemanticModel& model,
+                                       const semantics::SemanticModel& /*model*/,
                                        taint::TaintEngine& engine)
-    : program_(&program), callgraph_(&callgraph), model_(&model), engine_(&engine) {}
+    : program_(&program), callgraph_(&callgraph), engine_(&engine) {}
 
 const std::string* DependencyAnalyzer::element_tag_of(std::uint32_t method_index,
                                                       LocalId element_local) const {
@@ -102,7 +102,7 @@ std::vector<DependencyAnalyzer::FieldTap> DependencyAnalyzer::response_taps(
         if (txn.response_slice.count(event.stmt) == 0) continue;
         const auto* call = std::get_if<Invoke>(&program_->statement(event.stmt));
         if (!call || !call->dst) continue;
-        const ApiModel* api = model_->api(call->callee.class_name, call->callee.method_name);
+        const ApiModel* api = engine_->api_at(event.stmt);
         if (!api) continue;
         std::string field;
         switch (api->action) {
@@ -210,8 +210,7 @@ std::vector<Dependency> DependencyAnalyzer::analyze(
                         event.args_tainted.size() > 1 && event.args_tainted[1];
                     bool arg0_tainted =
                         !event.args_tainted.empty() && event.args_tainted[0];
-                    const ApiModel* api =
-                        model_->api(call->callee.class_name, call->callee.method_name);
+                    const ApiModel* api = engine_->api_at(event.stmt);
                     SigAction action = api ? api->action : SigAction::kNone;
                     switch (action) {
                         case SigAction::kNameValuePairInit:
@@ -265,7 +264,7 @@ BehaviorTags DependencyAnalyzer::tags(const SlicedTransaction& txn) const {
     for (const CallTaintEvent& event : txn.response_taint.call_events) {
         const auto* call = std::get_if<Invoke>(&program_->statement(event.stmt));
         if (!call) continue;
-        const ApiModel* api = model_->api(call->callee.class_name, call->callee.method_name);
+        const ApiModel* api = engine_->api_at(event.stmt);
         if (!api) continue;
         bool any_arg = std::any_of(event.args_tainted.begin(), event.args_tainted.end(),
                                    [](bool b) { return b; });
@@ -276,7 +275,7 @@ BehaviorTags DependencyAnalyzer::tags(const SlicedTransaction& txn) const {
     for (const CallTaintEvent& event : txn.request_taint.call_events) {
         const auto* call = std::get_if<Invoke>(&program_->statement(event.stmt));
         if (!call) continue;
-        const ApiModel* api = model_->api(call->callee.class_name, call->callee.method_name);
+        const ApiModel* api = engine_->api_at(event.stmt);
         if (!api) continue;
         if (event.dst_tainted && api->source != SourceKind::kNone) {
             add_unique(out.sources, source_name(api->source));

@@ -45,6 +45,8 @@ struct BehaviorTags {
 
 class DependencyAnalyzer {
 public:
+    /// `engine` runs over `program` with `model`; its per-statement API
+    /// table answers every model query this analysis makes.
     DependencyAnalyzer(const xir::Program& program, const xir::CallGraph& callgraph,
                        const semantics::SemanticModel& model, taint::TaintEngine& engine);
 
@@ -70,7 +72,6 @@ private:
 
     const xir::Program* program_;
     const xir::CallGraph* callgraph_;
-    const semantics::SemanticModel* model_;
     taint::TaintEngine* engine_;
 };
 

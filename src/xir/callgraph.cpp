@@ -81,12 +81,14 @@ const std::vector<CallEdge>& CallGraph::edges_to(std::uint32_t method_index) con
     return in_[method_index];
 }
 
-std::vector<CallEdge> CallGraph::edges_at(const StmtRef& site) const {
-    std::vector<CallEdge> result;
-    for (const CallEdge& edge : out_[site.method_index]) {
-        if (edge.site == site) result.push_back(edge);
-    }
-    return result;
+std::span<const CallEdge> CallGraph::edges_at(const StmtRef& site) const {
+    const auto& out = out_[site.method_index];
+    struct BySite {
+        bool operator()(const CallEdge& e, const StmtRef& s) const { return e.site < s; }
+        bool operator()(const StmtRef& s, const CallEdge& e) const { return s < e.site; }
+    };
+    auto [first, last] = std::equal_range(out.begin(), out.end(), site, BySite{});
+    return {first, last};
 }
 
 std::vector<std::uint32_t> CallGraph::reachable_from(

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <functional>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -43,8 +44,10 @@ public:
     /// Incoming edges per callee method index.
     [[nodiscard]] const std::vector<CallEdge>& edges_to(std::uint32_t method_index) const;
 
-    /// The edge(s) departing a specific call site (virtual dispatch may fan out).
-    [[nodiscard]] std::vector<CallEdge> edges_at(const StmtRef& site) const;
+    /// The edge(s) departing a specific call site (virtual dispatch may fan
+    /// out): a view into edges_from(site.method_index), which holds each
+    /// caller's edges in site order with a site's direct edge first.
+    [[nodiscard]] std::span<const CallEdge> edges_at(const StmtRef& site) const;
 
     /// All methods transitively reachable from the given roots.
     [[nodiscard]] std::vector<std::uint32_t> reachable_from(

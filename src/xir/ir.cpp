@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "support/hash.hpp"
 #include "support/strings.hpp"
 
 namespace extractocol::xir {
@@ -263,20 +264,37 @@ void Program::reindex() {
     }
 }
 
+std::size_t Program::QualifiedHash::operator()(std::string_view qualified) const {
+    return static_cast<std::size_t>(fnv1a(qualified));
+}
+
+std::size_t Program::QualifiedHash::operator()(const MethodRef& ref) const {
+    return static_cast<std::size_t>(
+        fnv1a(ref.method_name, fnv1a(".", fnv1a(ref.class_name))));
+}
+
+bool Program::QualifiedEq::operator()(const MethodRef& ref,
+                                      std::string_view qualified) const {
+    const std::string& cls = ref.class_name;
+    return qualified.size() == cls.size() + 1 + ref.method_name.size() &&
+           qualified.starts_with(cls) && qualified[cls.size()] == '.' &&
+           qualified.ends_with(ref.method_name);
+}
+
 const Class* Program::find_class(std::string_view name) const {
-    auto it = class_index_.find(std::string(name));
+    auto it = class_index_.find(name);
     if (it == class_index_.end()) return nullptr;
     return &classes[it->second];
 }
 
 const Method* Program::find_method(const MethodRef& ref) const {
-    auto it = method_index_.find(ref.qualified());
+    auto it = method_index_.find(ref);
     if (it == method_index_.end()) return nullptr;
     return method_table_[it->second];
 }
 
 const Method* Program::resolve_virtual(const MethodRef& ref) const {
-    std::string current = ref.class_name;
+    std::string_view current = ref.class_name;
     while (!current.empty()) {
         const Class* cls = find_class(current);
         if (!cls) return nullptr;
@@ -294,7 +312,7 @@ const std::string* Program::resource(std::string_view id) const {
 }
 
 std::optional<std::uint32_t> Program::method_index(const MethodRef& ref) const {
-    auto it = method_index_.find(ref.qualified());
+    auto it = method_index_.find(ref);
     if (it == method_index_.end()) return std::nullopt;
     return it->second;
 }

@@ -361,9 +361,35 @@ public:
     [[nodiscard]] std::size_t total_statements() const;
 
 private:
+    /// Transparent string hash: class lookups by string_view build no key.
+    struct NameHash {
+        using is_transparent = void;
+        std::size_t operator()(std::string_view s) const {
+            return std::hash<std::string_view>{}(s);
+        }
+    };
+    /// Hash and equality over a qualified name "Cls.method", either stored
+    /// whole or given as a MethodRef's two pieces. Both hash the same bytes,
+    /// so a lookup builds no qualified() string and still matches by
+    /// qualified-name equality.
+    struct QualifiedHash {
+        using is_transparent = void;
+        std::size_t operator()(std::string_view qualified) const;
+        std::size_t operator()(const MethodRef& ref) const;
+    };
+    struct QualifiedEq {
+        using is_transparent = void;
+        bool operator()(std::string_view a, std::string_view b) const { return a == b; }
+        bool operator()(const MethodRef& ref, std::string_view qualified) const;
+        bool operator()(std::string_view qualified, const MethodRef& ref) const {
+            return (*this)(ref, qualified);
+        }
+    };
+
     std::vector<const Method*> method_table_;
-    std::unordered_map<std::string, std::uint32_t> class_index_;
-    std::unordered_map<std::string, std::uint32_t> method_index_;  // qualified name
+    std::unordered_map<std::string, std::uint32_t, NameHash, std::equal_to<>> class_index_;
+    std::unordered_map<std::string, std::uint32_t, QualifiedHash, QualifiedEq>
+        method_index_;  // qualified name
 };
 
 }  // namespace extractocol::xir

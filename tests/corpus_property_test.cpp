@@ -7,10 +7,12 @@
 #include "core/analyzer.hpp"
 #include "corpus/corpus.hpp"
 #include "interp/interpreter.hpp"
+#include "semantics/model.hpp"
 #include "support/hash.hpp"
 #include "xapk/obfuscate.hpp"
 #include "text/regex.hpp"
 #include "xapk/serialize.hpp"
+#include "xir/callgraph.hpp"
 
 using namespace extractocol;
 
@@ -49,6 +51,39 @@ std::multiset<std::string> transaction_digests(const core::AnalysisReport& repor
 }  // namespace
 
 class CorpusProperty : public ::testing::TestWithParam<std::string> {};
+
+// Property: CallGraph::edges_at(site) is exactly the caller's out-edges
+// filtered to that site, in the same order — empty for every statement that
+// is not a resolved call. (Multi-edge sites: xir_test.)
+TEST_P(CorpusProperty, CallGraphEdgesAtMatchesFilteredEdgesFrom) {
+    corpus::CorpusApp app = corpus::build_app(GetParam());
+    const xir::Program& p = app.program;
+    auto model = semantics::SemanticModel::standard();
+    xir::CallGraph cg(p, model.callback_resolver());
+    auto same = [](const xir::CallEdge& a, const xir::CallEdge& b) {
+        return a.site == b.site && a.caller == b.caller && a.callee == b.callee &&
+               a.kind == b.kind;
+    };
+    for (std::uint32_t mi = 0; mi < p.method_table().size(); ++mi) {
+        const xir::Method& m = p.method_at(mi);
+        for (xir::BlockId b = 0; b < m.blocks.size(); ++b) {
+            for (std::uint32_t i = 0; i < m.blocks[b].statements.size(); ++i) {
+                xir::StmtRef site{mi, b, i};
+                std::vector<xir::CallEdge> expected;
+                for (const auto& e : cg.edges_from(mi)) {
+                    if (e.site == site) expected.push_back(e);
+                }
+                auto got = cg.edges_at(site);
+                ASSERT_TRUE(std::equal(got.begin(), got.end(), expected.begin(),
+                                       expected.end(), same))
+                    << p.method_at(mi).ref().qualified() << " b" << b << " #" << i;
+                if (!std::holds_alternative<xir::Invoke>(m.blocks[b].statements[i])) {
+                    EXPECT_TRUE(got.empty());
+                }
+            }
+        }
+    }
+}
 
 // Property: write(parse(write(p))) == write(p), and the parsed program is
 // analysis-equivalent to the original.

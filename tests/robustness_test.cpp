@@ -120,6 +120,82 @@ TEST(XapkRobustness, CommentsAndBlankLinesIgnored) {
     EXPECT_EQ(parsed.value().app_name, "c");
 }
 
+// Loader edge cases: token boundaries, escapes and line endings, and the
+// exact error texts, pinned so the tokenizer's representation can change
+// without the parse result drifting.
+namespace {
+
+/// String constants of the single method's statements, in order.
+std::vector<std::string> const_strings(const Program& p) {
+    std::vector<std::string> out;
+    for (const auto& stmt : p.classes.at(0).methods.at(0).blocks.at(0).statements) {
+        if (const auto* c = std::get_if<AssignConst>(&stmt)) {
+            out.push_back(c->value.string_value);
+        }
+    }
+    return out;
+}
+
+std::string parse_error(std::string_view doc) {
+    auto parsed = xapk::parse_xapk(doc);
+    return parsed.ok() ? "<parsed>" : parsed.error().message;
+}
+
+constexpr std::string_view kMethodHead =
+    "xapk 1\napp \"e\"\nclass com.r.E\n  method run 1 0 void\n"
+    "    local s java.lang.String\n    block 0\n";  // statements start on line 7
+
+}  // namespace
+
+TEST(XapkLoaderEdges, EscapesEmptyStringsAndTabs) {
+    std::string doc(kMethodHead);
+    doc += "      const $0 \"a\\\\\"\n";            // "a\\": escaped backslash, then close
+    doc += "      const $0 \"say \\\"hi\\\"\"\n";   // escaped quotes inside
+    doc += "      const $0 \"\"\n";                 // the empty string
+    doc += "      const\t$0\t\"t\\tab\\n\"\n";      // tab-separated, \t and \n escapes
+    doc += "      ret _\n";
+    doc += "resource\tr1\t\"x \\\\ y\"\n";
+    doc += "resource r2 \"\"\n";
+    auto parsed = xapk::parse_xapk(doc);
+    ASSERT_TRUE(parsed.ok()) << parsed.error().message;
+    EXPECT_EQ(const_strings(parsed.value()),
+              (std::vector<std::string>{"a\\", "say \"hi\"", "", "t\tab\n"}));
+    const auto& resources = parsed.value().resources;
+    ASSERT_EQ(resources.size(), 2u);
+    EXPECT_EQ(resources[0], (std::pair<std::string, std::string>{"r1", "x \\ y"}));
+    EXPECT_EQ(resources[1], (std::pair<std::string, std::string>{"r2", ""}));
+}
+
+TEST(XapkLoaderEdges, CrlfLineEndings) {
+    std::string doc(kMethodHead);
+    doc = strings::replace_all(doc, "\n", "\r\n");
+    doc += "      const $0 \"v\"\r\n      ret _\r\nresource k \"w\"\r\n";
+    auto parsed = xapk::parse_xapk(doc);
+    ASSERT_TRUE(parsed.ok()) << parsed.error().message;
+    EXPECT_EQ(parsed.value().app_name, "e");
+    EXPECT_EQ(parsed.value().classes.at(0).methods.at(0).locals.at(0).type,
+              "java.lang.String");
+    EXPECT_EQ(const_strings(parsed.value()), (std::vector<std::string>{"v"}));
+    EXPECT_EQ(parsed.value().resources.at(0).second, "w");
+}
+
+TEST(XapkLoaderEdges, ExactErrorTexts) {
+    // A string whose last character is a backslash escapes nothing: the
+    // quote is never closed.
+    EXPECT_EQ(parse_error("xapk 1\napp \"abc\\"), "line 2: unterminated string literal");
+    EXPECT_EQ(parse_error("xapk 1\napp \"abc\\\"\n"), "line 2: unterminated string literal");
+    std::string head(kMethodHead);
+    EXPECT_EQ(parse_error(head + "      copy $x $0\n"), "xapk line 7: bad local operand: $x");
+    EXPECT_EQ(parse_error(head + "      const \"q\" $0\n"),
+              "xapk line 7: expected local, got \"q\"");
+    EXPECT_EQ(parse_error(head + "      goto c1\n"), "xapk line 7: bad block ref: c1");
+    EXPECT_EQ(parse_error(head + "      goto b\n"), "xapk line 7: bad block ref: b");
+    EXPECT_EQ(parse_error(head + "      frob $0\n"),
+              "xapk line 7: unknown statement mnemonic: frob");
+    EXPECT_EQ(parse_error(head + "      \"fr\\\"ob\" $0\n"),
+              "xapk line 7: unknown statement mnemonic: \"fr\"ob\"");
+}
+
 // ------------------------------------------------------ analyzer options --
 
 TEST(AnalyzerOptions, ScopeFiltersForeignClasses) {

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include "semantics/model.hpp"
 #include "sig/builder.hpp"
 #include "sig/sig.hpp"
 #include "sig/value.hpp"
+#include "slicing/slicer.hpp"
 #include "text/regex.hpp"
+#include "xir/builder.hpp"
 
 using namespace extractocol;
 using namespace extractocol::sig;
@@ -339,4 +342,126 @@ TEST(MergeJson, NestedObjectsMergeRecursively) {
     ASSERT_NE(data, nullptr);
     EXPECT_NE(data->member("x"), nullptr);
     EXPECT_NE(data->member("y"), nullptr);
+}
+
+// ------------------------------------------------- producer pre-pass --
+
+namespace {
+
+using namespace extractocol::xir;
+
+/// onClick reads static State.token into its request URI. Two other events
+/// may produce it: onLogin writes it two calls deep (onLogin -> step1 ->
+/// step2), onTimer writes an unrelated static. A fourth registration names
+/// a handler the program does not define.
+Program producer_program() {
+    ProgramBuilder pb("producers");
+    pb.add_class("com.p.State").field("token", "java.lang.String");
+    auto main = pb.add_class("com.p.Main");
+    {
+        auto mb = main.method("onClick");
+        LocalId tok = mb.local("tok", "java.lang.String");
+        mb.load_static(tok, "com.p.State", "token");
+        LocalId url = mb.local("u", "java.lang.String");
+        mb.concat(url, cs("http://h/api?tok="), Operand(tok));
+        LocalId req = mb.local("req", "org.apache.http.client.methods.HttpGet");
+        mb.new_object(req, "org.apache.http.client.methods.HttpGet");
+        mb.special(req, "org.apache.http.client.methods.HttpGet.<init>", {Operand(url)});
+        LocalId client = mb.local("c", "org.apache.http.client.HttpClient");
+        LocalId resp = mb.local("r", "org.apache.http.HttpResponse");
+        mb.vcall(resp, client, "org.apache.http.client.HttpClient.execute",
+                 {Operand(req)});
+        mb.ret();  // onClick: 6 statements
+    }
+    auto login = pb.add_class("com.p.Login");
+    login.method("onLogin").set_static().scall(std::nullopt, "com.p.Login.step1").ret();
+    login.method("step1").set_static().scall(std::nullopt, "com.p.Login.step2").ret();
+    {
+        auto mb = login.method("step2").set_static();
+        LocalId x = mb.local("x", "java.lang.String");
+        mb.assign(x, cs("abc"));
+        mb.store_static("com.p.State", "token", Operand(x));
+        mb.ret();
+    }
+    {
+        auto mb = pb.add_class("com.p.Other").method("onTimer").set_static();
+        LocalId y = mb.local("y", "java.lang.String");
+        mb.assign(y, cs("zzz"));
+        mb.store_static("com.p.Other", "unrelated", Operand(y));
+        mb.ret();
+    }
+    pb.register_event({"com.p.Main", "onClick"}, EventKind::kOnClick, "click");
+    pb.register_event({"com.p.Login", "onLogin"}, EventKind::kOnLogin, "login");
+    pb.register_event({"com.p.Other", "onTimer"}, EventKind::kOnTimer, "timer");
+    Program p = pb.build();
+    // Added after build(), which verifies that every handler exists.
+    p.events.push_back({{"com.p.Ghost", "onPush"}, EventKind::kOnServerPush, "push"});
+    return p;
+}
+
+struct Built {
+    std::string uri;
+    std::size_t steps = 0;
+};
+
+/// Builds onClick's transaction over its slicer slice plus `extra`.
+Built build_with(const Program& p, const std::vector<StmtRef>& extra) {
+    auto model = semantics::SemanticModel::standard();
+    slicing::Slicer slicer(p, model);
+    auto txns = slicer.slice_all();
+    EXPECT_EQ(txns.size(), 1u);
+    if (txns.size() != 1) return {};
+    std::set<StmtRef> slice = txns[0].combined_slice;
+    slice.insert(extra.begin(), extra.end());
+    sig::SignatureBuilder builder(p, slicer.callgraph(), model);
+    sig::BuildRequest request;
+    request.dp_site = txns[0].dp_site;
+    request.dp = txns[0].dp;
+    request.context = txns[0].context;
+    request.slice = &slice;
+    sig::BuildStats stats;
+    auto signature = builder.build(request, &stats);
+    EXPECT_TRUE(signature.has_value());
+    if (!signature) return {};
+    return {signature->uri_regex(), stats.steps};
+}
+
+}  // namespace
+
+TEST(SigProducerPrePass, DeepProducerRunsAndOthersAreSkipped) {
+    Program p = producer_program();
+    std::uint32_t step2 = *p.method_index({"com.p.Login", "step2"});
+    std::uint32_t on_timer = *p.method_index({"com.p.Other", "onTimer"});
+    auto model = semantics::SemanticModel::standard();
+    slicing::Slicer slicer(p, model);
+    auto txns = slicer.slice_all();
+    ASSERT_EQ(txns.size(), 1u);
+    // The slicer's request slice reaches the producer side only in step2, two
+    // calls below onLogin; nothing of onTimer is in it.
+    for (const StmtRef& ref : txns[0].combined_slice) {
+        EXPECT_NE(ref.method_index, *p.method_index({"com.p.Login", "onLogin"}));
+        EXPECT_NE(ref.method_index, on_timer);
+    }
+    EXPECT_EQ(txns[0].combined_slice.count({step2, 0, 1}), 1u);
+
+    // 8 steps: onClick's 6 statements plus onLogin's 2. onTimer (3 statements)
+    // misses the slice and the missing handler is skipped. The pre-pass runs
+    // only slice statements, so onLogin's call into step1 is not followed and
+    // the token stays unknown.
+    Built plain = build_with(p, {});
+    EXPECT_EQ(plain.steps, 8u);
+    EXPECT_EQ(plain.uri, "http://h/api\\?tok=.*");
+
+    // With the call chain down to the write in the slice, the producer's
+    // static write reaches the URI.
+    std::uint32_t on_login = *p.method_index({"com.p.Login", "onLogin"});
+    std::uint32_t step1 = *p.method_index({"com.p.Login", "step1"});
+    Built chained = build_with(p, {{on_login, 0, 0}, {step1, 0, 0}});
+    EXPECT_EQ(chained.steps, 13u);
+    EXPECT_EQ(chained.uri, "http://h/api\\?tok=abc");
+
+    // Once onTimer touches the slice it runs too: its 3 statements count.
+    Built timer = build_with(p, {{on_timer, 0, 0}});
+    EXPECT_EQ(timer.steps, 11u);
+    EXPECT_EQ(timer.uri, plain.uri);
 }

@@ -173,6 +173,55 @@ TEST(CallGraph, ImplicitAsyncTaskEdges) {
     EXPECT_EQ(cg.edges_to(*do_in_bg)[0].kind, CallEdgeKind::kImplicit);
 }
 
+TEST(CallGraph, EdgesAtSpansOneSiteDirectEdgeFirst) {
+    // FetchTask overrides execute(), so one call site has a direct edge to
+    // it plus the AsyncTask callbacks as implicit edges.
+    ProgramBuilder pb("sites");
+    auto task = pb.add_class("com.app.FetchTask", "android.os.AsyncTask");
+    task.method("execute").ret();
+    task.method("doInBackground").ret();
+    task.method("onPostExecute").ret();
+    auto main = pb.add_class("com.app.Main");
+    {
+        auto mb = main.method("onClick");
+        LocalId t = mb.local("task", "com.app.FetchTask");
+        mb.new_object(t, "com.app.FetchTask");                             // stmt 0
+        mb.vcall(std::nullopt, t, "com.app.FetchTask.execute");            // stmt 1
+        mb.vcall(std::nullopt, t, "com.app.FetchTask.doInBackground");     // stmt 2
+        mb.ret();
+    }
+    pb.register_event({"com.app.Main", "onClick"}, EventKind::kOnClick, "click");
+    Program p = pb.build();
+    auto model = semantics::SemanticModel::standard();
+    CallGraph cg(p, model.callback_resolver());
+    std::uint32_t on_click = *p.method_index({"com.app.Main", "onClick"});
+    std::uint32_t execute = *p.method_index({"com.app.FetchTask", "execute"});
+    std::uint32_t background = *p.method_index({"com.app.FetchTask", "doInBackground"});
+    std::uint32_t post = *p.method_index({"com.app.FetchTask", "onPostExecute"});
+
+    auto at_execute = cg.edges_at({on_click, 0, 1});
+    ASSERT_EQ(at_execute.size(), 3u);
+    EXPECT_EQ(at_execute[0].kind, CallEdgeKind::kDirect);
+    EXPECT_EQ(at_execute[0].callee, execute);
+    EXPECT_EQ(at_execute[1].kind, CallEdgeKind::kImplicit);
+    EXPECT_EQ(at_execute[1].callee, background);
+    EXPECT_EQ(at_execute[2].kind, CallEdgeKind::kImplicit);
+    EXPECT_EQ(at_execute[2].callee, post);
+    for (const CallEdge& edge : at_execute) {
+        EXPECT_EQ(edge.site, (StmtRef{on_click, 0, 1}));
+        EXPECT_EQ(edge.caller, on_click);
+    }
+
+    auto at_direct = cg.edges_at({on_click, 0, 2});
+    ASSERT_EQ(at_direct.size(), 1u);
+    EXPECT_EQ(at_direct[0].callee, background);
+    EXPECT_EQ(at_direct[0].kind, CallEdgeKind::kDirect);
+
+    EXPECT_TRUE(cg.edges_at({on_click, 0, 0}).empty());  // the allocation
+    EXPECT_TRUE(cg.edges_at({on_click, 0, 3}).empty());  // the return
+    EXPECT_TRUE(cg.edges_at({execute, 0, 0}).empty());   // a method with no calls
+}
+
 TEST(Xapk, RoundTrip) {
     Program p = make_sample();
     std::string text = xapk::write_xapk(p);
