@@ -3,6 +3,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -437,7 +438,16 @@ CachedBatch analyze_batch_cached(const core::Analyzer& analyzer, ReportCache* ca
     for (std::size_t i = 0; i < inputs.size(); ++i) {
         if (cache != nullptr) {
             batch.keys[i] = ReportCache::key_for(inputs[i].text, analyzer.options());
-            if (std::optional<core::AnalysisReport> report = cache->load(batch.keys[i])) {
+            auto start = std::chrono::steady_clock::now();
+            std::optional<core::AnalysisReport> report = cache->load(batch.keys[i]);
+            if (report) {
+                // Entries hold content only; the run that served this report
+                // is the load, so that is the time it reports.
+                double seconds = std::chrono::duration<double>(
+                                     std::chrono::steady_clock::now() - start)
+                                     .count();
+                report->stats.analysis_seconds = seconds;
+                report->stats.phases = {{"cache.load", seconds}};
                 batch.items[i].file = inputs[i].file;
                 batch.items[i].report = std::move(*report);
                 batch.from_cache[i] = 1;

@@ -7,9 +7,10 @@
 // because a key collision would make the cache serve one app's report for
 // another app's bytes (or another configuration's report) and no envelope
 // check can catch that; never std::hash and never intern Symbol ids
-// (nothing process-local may reach persisted state). A hit bypasses the
-// whole analyzer and replays the stored report byte-identically, including
-// the cold run's timings and its run-scoped counters.
+// (nothing process-local may reach persisted state). An entry holds the
+// report's content only — its run-scoped counters included, never the cold
+// run's timings — so a hit bypasses the whole analyzer, serves the stored
+// content byte-identically, and reports its own load time.
 //
 // On-disk envelope (`extractocol.cache/v1`): one ASCII header line
 //
@@ -146,7 +147,7 @@ private:
 struct CachedBatch {
     /// Per-input outcomes in input order, exactly analyze_batch's contract.
     std::vector<core::BatchItem> items;
-    /// Parallel to `items`: 1 when the report was replayed from the cache.
+    /// Parallel to `items`: 1 when the report was served from the cache.
     std::vector<char> from_cache;
     /// Parallel to `items`: the cache key of each input (computed for the
     /// hit/miss split anyway; exposed so the daemon's per-request telemetry
@@ -159,6 +160,8 @@ struct CachedBatch {
 /// Cache-aware analyze_batch: serves hits from `cache`, runs the misses
 /// through one analyzer.analyze_batch (keeping the --jobs pool semantics),
 /// stores every successful miss, and merges results back in input order.
+/// A hit's measured stats are its own: analysis_seconds is the load time
+/// and phases is exactly {"cache.load", that time}.
 /// Error items are never cached. Entries are keyed by content and options
 /// (key_for), so a report on this path equals the one analyze_xapk gives
 /// for the same bytes and options. `cache` may be null (everything misses).

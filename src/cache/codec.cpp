@@ -136,14 +136,6 @@ bool get_size(const Json& obj, const char* key, std::size_t& out, Dec& dec) {
     return true;
 }
 
-bool get_u64(const Json& obj, const char* key, std::uint64_t& out, Dec& dec) {
-    std::int64_t v = 0;
-    if (!get_i64(obj, key, v, dec)) return false;
-    if (v < 0) return dec.fail(std::string("negative field '") + key + "'");
-    out = static_cast<std::uint64_t>(v);
-    return true;
-}
-
 bool get_bool(const Json& obj, const char* key, bool& out, Dec& dec) {
     const Json* j = obj.find(key);
     if (j == nullptr || !j->is_bool()) return dec.fail(std::string("missing bool field '") + key + "'");
@@ -157,15 +149,6 @@ bool get_str(const Json& obj, const char* key, std::string& out, Dec& dec) {
         return dec.fail(std::string("missing string field '") + key + "'");
     }
     out = j->as_string();
-    return true;
-}
-
-bool get_double(const Json& obj, const char* key, double& out, Dec& dec) {
-    const Json* j = obj.find(key);
-    if (j == nullptr || !j->is_number()) {
-        return dec.fail(std::string("missing number field '") + key + "'");
-    }
-    out = j->as_double();
     return true;
 }
 
@@ -367,22 +350,9 @@ bool decode_stats(const Json& j, core::AnalysisStats& out, Dec& dec) {
     if (!get_size(j, "dps", out.dp_sites, dec)) return false;
     if (!get_size(j, "cx", out.contexts, dec)) return false;
     if (!get_size(j, "dic", out.dropped_intent_contexts, dec)) return false;
-    if (!get_double(j, "sec", out.analysis_seconds, dec)) return false;
-    const Json* phases = get_array(j, "ph", dec);
-    if (phases == nullptr) return false;
-    out.phases.reserve(phases->items().size());
-    for (const Json& pair : phases->items()) {
-        if (!pair.is_array() || pair.items().size() != 2 ||
-            !pair.items()[0].is_string() || !pair.items()[1].is_number()) {
-            return dec.fail("phase row is not [name, seconds]");
-        }
-        out.phases.push_back(
-            {pair.items()[0].as_string(), pair.items()[1].as_double()});
-    }
     if (!decode_name_u64(j, "ctr", out.counters, dec)) return false;
     if (!get_size(j, "steps", out.budget_steps_used, dec)) return false;
     if (!get_bool(j, "bex", out.budget_exhausted, dec)) return false;
-    if (!get_u64(j, "peak", out.peak_bytes, dec)) return false;
     return true;
 }
 
@@ -452,22 +422,9 @@ text::Json report_to_json(const core::AnalysisReport& report) {
     stats.set("dps", Json(static_cast<std::int64_t>(s.dp_sites)));
     stats.set("cx", Json(static_cast<std::int64_t>(s.contexts)));
     stats.set("dic", Json(static_cast<std::int64_t>(s.dropped_intent_contexts)));
-    // Doubles survive the round trip exactly: the printer renders %.17g,
-    // which is lossless for binary64 — a warm run replays the cold run's
-    // timings bit-for-bit.
-    stats.set("sec", Json(s.analysis_seconds));
-    Json phases = Json::array();
-    for (const core::PhaseTiming& p : s.phases) {
-        Json pair = Json::array();
-        pair.push_back(Json(p.name));
-        pair.push_back(Json(p.seconds));
-        phases.push_back(std::move(pair));
-    }
-    stats.set("ph", std::move(phases));
     stats.set("ctr", name_u64_array(s.counters));
     stats.set("steps", Json(static_cast<std::int64_t>(s.budget_steps_used)));
     stats.set("bex", Json(s.budget_exhausted));
-    stats.set("peak", Json(static_cast<std::int64_t>(s.peak_bytes)));
 
     const core::AnalysisAudit& a = report.audit;
     Json audit = Json::object();

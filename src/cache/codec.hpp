@@ -2,12 +2,15 @@
 //
 // The public AnalysisReport::to_json() is a *rendering*: it flattens
 // signature trees into regexes/schemas and drops fields the report can not
-// be rebuilt from. Cache entries must replay a cold run byte-identically —
-// to_text, to_json, audit, --explain, eval scoring — so this codec
-// round-trips every field: full Sig trees (kind, value type, provenance,
-// members, repetition), transaction signatures, dependency edges, stats
-// (including phase timings and counter deltas, which are replayed verbatim
-// on a hit), and the per-DP-site audit.
+// be rebuilt from. A cache hit must serve the cold run's content
+// byte-identically — to_text, to_json, audit, --explain, eval scoring — so
+// this codec round-trips every content field: full Sig trees (kind, value
+// type, provenance, members, repetition), transaction signatures,
+// dependency edges, the deterministic stats (counter deltas included), and
+// the per-DP-site audit. The measured fields of AnalysisStats
+// (analysis_seconds, phases, peak_bytes) describe one run, not the report,
+// and are never encoded: they decode as zero and whoever serves the report
+// measures its own run.
 //
 // Decoding is strict: unknown enum values, missing fields, type mismatches,
 // and out-of-range dependency indices all fail with an error (the cache

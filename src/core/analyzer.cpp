@@ -649,30 +649,10 @@ std::size_t AnalysisReport::count_method(http::Method method) const {
                       }));
 }
 
-std::size_t AnalysisReport::count_body_kind(http::BodyKind kind, bool response) const {
-    std::size_t n = 0;
-    for (const auto& t : transactions) {
-        if (response) {
-            if (t.signature.has_response_body && t.signature.response_kind == kind) ++n;
-        } else {
-            if (t.signature.has_body && t.signature.body_kind == kind) ++n;
-        }
-    }
-    return n;
-}
-
 std::size_t AnalysisReport::pair_count() const {
     return static_cast<std::size_t>(
         std::count_if(transactions.begin(), transactions.end(),
                       [](const ReportTransaction& t) { return t.is_paired(); }));
-}
-
-std::size_t AnalysisReport::request_payload_count() const {
-    std::set<std::string> unique;
-    for (const auto& t : transactions) {
-        if (t.signature.has_body) unique.insert(t.body_regex);
-    }
-    return unique.size();
 }
 
 std::vector<std::string> AnalysisReport::keywords(bool response) const {

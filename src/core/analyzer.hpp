@@ -34,7 +34,7 @@ namespace extractocol::core {
 /// entry (src/cache). Entries written by a different version are cleanly
 /// invalidated instead of served — bump this whenever a pipeline or report
 /// change can alter output bytes for the same input.
-inline constexpr std::string_view kAnalyzerVersion = "10";
+inline constexpr std::string_view kAnalyzerVersion = "11";
 
 struct ReportTransaction {
     sig::TransactionSignature signature;
@@ -73,6 +73,10 @@ struct AnalysisStats {
     /// Intent-only contexts dropped before signature extraction (the §5.1
     /// coverage gap: Extractocol does not model Android intents).
     std::size_t dropped_intent_contexts = 0;
+    /// Wall time of the run that produced this report. This field,
+    /// `phases` and `peak_bytes` measure a run, not the report's content:
+    /// the cache never persists them, and a cache hit reports its own load
+    /// time as the single phase `cache.load`.
     double analysis_seconds = 0;
     /// Per-phase wall times in pipeline order. `xapk.parse` is present only
     /// when the analysis started from .xapk text. The remaining phases
@@ -156,12 +160,9 @@ struct AnalysisReport {
 
     // ----------------------------------------------------- tabulations --
     [[nodiscard]] std::size_t count_method(http::Method method) const;
-    [[nodiscard]] std::size_t count_body_kind(http::BodyKind kind, bool response) const;
     /// Transactions whose response body is processed by the app (Table 1's
     /// #Pair column).
     [[nodiscard]] std::size_t pair_count() const;
-    /// Unique request body / query-string signatures.
-    [[nodiscard]] std::size_t request_payload_count() const;
     /// Constant keywords across request (or response) signatures (Fig. 7).
     [[nodiscard]] std::vector<std::string> keywords(bool response) const;
 

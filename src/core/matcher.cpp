@@ -252,20 +252,6 @@ MatchOutcome TraceMatcher::match(const http::Transaction& txn) const {
     return {};
 }
 
-MatchOutcome TraceMatcher::match_best(const http::Transaction& txn) const {
-    std::string uri_text = txn.request.uri.to_string();
-    MatchOutcome best;
-    for (std::size_t i = 0; i < report_->transactions.size(); ++i) {
-        auto outcome = match_signature(i, txn, uri_text);
-        if (!outcome) continue;
-        if (!best.transaction ||
-            outcome->uri_accounting.key_bytes > best.uri_accounting.key_bytes) {
-            best = std::move(*outcome);
-        }
-    }
-    return best;
-}
-
 std::vector<MatchOutcome> TraceMatcher::match_all(const http::Transaction& txn) const {
     std::string uri_text = txn.request.uri.to_string();
     std::vector<MatchOutcome> accepting;

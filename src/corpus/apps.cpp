@@ -1301,10 +1301,4 @@ std::optional<std::string> resolve_app_name(const std::string& label) {
     return scan(closed_source_apps());
 }
 
-std::optional<AppSpec> find_app_spec(const std::string& name) {
-    auto resolved = resolve_app_name(name);
-    if (!resolved) return std::nullopt;
-    return app_spec(*resolved);
-}
-
 }  // namespace extractocol::corpus

@@ -35,7 +35,4 @@ std::string app_slug(const std::string& name);
 /// a make_corpus .xapk file); nullopt when no corpus app matches.
 std::optional<std::string> resolve_app_name(const std::string& label);
 
-/// Non-aborting spec lookup for externally supplied names.
-std::optional<AppSpec> find_app_spec(const std::string& name);
-
 }  // namespace extractocol::corpus

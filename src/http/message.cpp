@@ -40,14 +40,6 @@ std::string_view body_kind_name(BodyKind kind) {
 }
 
 namespace {
-Result<BodyKind> parse_body_kind(std::string_view name) {
-    for (BodyKind kind : {BodyKind::kNone, BodyKind::kQueryString, BodyKind::kJson,
-                          BodyKind::kXml, BodyKind::kText, BodyKind::kBinary}) {
-        if (body_kind_name(kind) == name) return kind;
-    }
-    return Error("unknown body kind: " + std::string(name));
-}
-
 const std::string* find_header(const std::vector<Header>& headers, std::string_view name) {
     for (const auto& h : headers) {
         if (strings::to_lower(h.name) == strings::to_lower(name)) return &h.value;
@@ -59,15 +51,6 @@ text::Json headers_to_json(const std::vector<Header>& headers) {
     text::Json obj = text::Json::object();
     for (const auto& h : headers) obj.set(h.name, text::Json(h.value));
     return obj;
-}
-
-std::vector<Header> headers_from_json(const text::Json& obj) {
-    std::vector<Header> out;
-    if (!obj.is_object()) return out;
-    for (const auto& [k, v] : obj.members()) {
-        if (v.is_string()) out.push_back({k, v.as_string()});
-    }
-    return out;
 }
 }  // namespace
 
@@ -124,60 +107,6 @@ text::Json Trace::to_json() const {
     }
     doc.set("transactions", std::move(txns));
     return doc;
-}
-
-Result<Trace> Trace::from_json(const text::Json& doc) {
-    if (!doc.is_object()) return Error("trace document must be an object");
-    Trace trace;
-    if (const auto* app = doc.find("app"); app && app->is_string()) {
-        trace.app = app->as_string();
-    }
-    const auto* txns = doc.find("transactions");
-    if (!txns || !txns->is_array()) return Error("trace missing transactions array");
-    for (const auto& obj : txns->items()) {
-        Transaction t;
-        const auto* method = obj.find("method");
-        const auto* uri = obj.find("uri");
-        if (!method || !method->is_string() || !uri || !uri->is_string()) {
-            return Error("transaction missing method/uri");
-        }
-        auto m = parse_method(method->as_string());
-        if (!m.ok()) return m.error();
-        t.request.method = m.value();
-        auto u = text::parse_uri(uri->as_string());
-        if (!u.ok()) return u.error();
-        t.request.uri = std::move(u).take();
-        if (const auto* h = obj.find("request_headers")) {
-            t.request.headers = headers_from_json(*h);
-        }
-        if (const auto* k = obj.find("request_body_kind"); k && k->is_string()) {
-            auto kind = parse_body_kind(k->as_string());
-            if (!kind.ok()) return kind.error();
-            t.request.body_kind = kind.value();
-        }
-        if (const auto* b = obj.find("request_body"); b && b->is_string()) {
-            t.request.body = b->as_string();
-        }
-        if (const auto* s = obj.find("status"); s && s->is_int()) {
-            t.response.status = static_cast<int>(s->as_int());
-        }
-        if (const auto* h = obj.find("response_headers")) {
-            t.response.headers = headers_from_json(*h);
-        }
-        if (const auto* k = obj.find("response_body_kind"); k && k->is_string()) {
-            auto kind = parse_body_kind(k->as_string());
-            if (!kind.ok()) return kind.error();
-            t.response.body_kind = kind.value();
-        }
-        if (const auto* b = obj.find("response_body"); b && b->is_string()) {
-            t.response.body = b->as_string();
-        }
-        if (const auto* trig = obj.find("trigger"); trig && trig->is_string()) {
-            t.trigger = trig->as_string();
-        }
-        trace.transactions.push_back(std::move(t));
-    }
-    return trace;
 }
 
 }  // namespace extractocol::http

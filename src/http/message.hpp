@@ -66,9 +66,8 @@ struct Trace {
     std::string app;
     std::vector<Transaction> transactions;
 
-    /// Serializes to a JSON document (stable order) and back.
+    /// Serializes to a JSON document (stable order).
     [[nodiscard]] text::Json to_json() const;
-    static Result<Trace> from_json(const text::Json& doc);
 };
 
 /// Guesses the body kind from content: JSON object/array, XML element,

@@ -597,16 +597,6 @@ http::Trace Interpreter::fuzz(FuzzMode mode) {
     return impl_->trace;
 }
 
-void Interpreter::run_event(const std::string& label) {
-    for (const auto& event : impl_->program->events) {
-        if (event.label == label) {
-            impl_->run_handler(event);
-            return;
-        }
-    }
-    log::warn() << "no event registered with label " << label;
-}
-
 const http::Trace& Interpreter::trace() const { return impl_->trace; }
 
 void Interpreter::reset() {

@@ -77,9 +77,6 @@ public:
     /// database, preferences) persists across events within one call.
     [[nodiscard]] http::Trace fuzz(FuzzMode mode);
 
-    /// Runs a single registered event by label (state persists across calls).
-    void run_event(const std::string& label);
-
     [[nodiscard]] const http::Trace& trace() const;
     void reset();
 

@@ -35,7 +35,6 @@ void Journal::rotate_locked() {
     }
     out_.open(options_.path, std::ios::binary | std::ios::trunc);
     bytes_ = 0;
-    rotations_ += 1;
 }
 
 bool Journal::append(const text::Json& record) {
@@ -58,16 +57,6 @@ bool Journal::append(const text::Json& record) {
     }
     bytes_ += line.size();
     return true;
-}
-
-std::uint64_t Journal::rotations() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return rotations_;
-}
-
-std::uint64_t Journal::bytes_written() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return bytes_;
 }
 
 }  // namespace extractocol::obs

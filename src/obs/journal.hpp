@@ -46,18 +46,15 @@ public:
     [[nodiscard]] const std::string& path() const { return options_.path; }
     /// Path the previous journal generation is rotated to ("<path>.1").
     [[nodiscard]] std::string rotated_path() const { return options_.path + ".1"; }
-    [[nodiscard]] std::uint64_t rotations() const;
-    /// Bytes written to the current generation (not counting rotated-out).
-    [[nodiscard]] std::uint64_t bytes_written() const;
 
 private:
     void rotate_locked();
 
     JournalOptions options_;
-    mutable std::mutex mutex_;
+    std::mutex mutex_;
     std::ofstream out_;
+    /// Bytes written to the current generation (not counting rotated-out).
     std::uint64_t bytes_ = 0;
-    std::uint64_t rotations_ = 0;
 };
 
 }  // namespace extractocol::obs

@@ -145,11 +145,6 @@ void RunTelemetry::add(AppRunRecord record) {
     records_.push_back(std::move(record));
 }
 
-std::size_t RunTelemetry::app_count() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return records_.size();
-}
-
 FleetStats RunTelemetry::fleet() const {
     std::lock_guard<std::mutex> lock(mutex_);
     FleetStats out;
@@ -225,14 +220,6 @@ text::Json RunTelemetry::manifest_json(bool normalize_resources) const {
         }
         if (profile) {
             for (SiteProfile& s : profile->sites) s.slice_seconds = s.sig_seconds = 0;
-        }
-        if (cache && cache->is_object()) {
-            // Entry payloads embed the cold run's measured timings, so the
-            // on-disk byte total varies run to run; the operation counts are
-            // deterministic per workload and survive normalization.
-            for (auto& [key, value] : cache->members()) {
-                if (key == "bytes") value = text::Json(std::int64_t{0});
-            }
         }
         if (metrics) {
             // The registry is process-global: histogram counts and gauge

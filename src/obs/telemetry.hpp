@@ -104,8 +104,8 @@ struct RequestRecord {
     /// The response's error message; non-empty iff outcome=="error".
     std::string error;
     double wall_seconds = 0;
-    /// Analysis per-phase wall times (for hits these replay the cold run's
-    /// stored timings — the phases are a property of the report).
+    /// Per-phase wall times of the run that served the request: the
+    /// analysis phases on a miss, the single `cache.load` phase on a hit.
     std::vector<std::pair<std::string, double>> phase_seconds;
     /// Size of the serialized response line (newline included).
     std::uint64_t response_bytes = 0;
@@ -178,14 +178,12 @@ public:
     /// Attaches the report-cache block (cache::ReportCache::stats_json) as
     /// the manifest's "cache" section — the cache index a warm fleet run is
     /// scheduled from. Omitted when the run used no cache. Normalization
-    /// zeroes only its "bytes" member (entry payloads embed measured
-    /// timings, so their size is a resource measurement; hit/miss/store
-    /// counts are deterministic per workload).
+    /// leaves it as is: entries hold content only, so their byte total is
+    /// as deterministic per workload as the hit/miss/store counts.
     void set_cache(text::Json cache);
 
     void add(AppRunRecord record);
 
-    [[nodiscard]] std::size_t app_count() const;
     [[nodiscard]] FleetStats fleet() const;
 
     /// The run ledger: schema tag, run metadata, per-app records, fleet

@@ -114,12 +114,6 @@ const DemarcationSpec* SemanticModel::demarcation(std::string_view cls,
     return nullptr;
 }
 
-std::size_t SemanticModel::demarcation_class_count() const {
-    std::set<std::string> classes;
-    for (const auto& dp : demarcations_) classes.insert(dp.cls);
-    return classes.size();
-}
-
 bool SemanticModel::is_known_library_class(std::string_view cls) const {
     static const char* kPrefixes[] = {
         "java.",           "javax.",        "android.",       "org.apache.http",

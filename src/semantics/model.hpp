@@ -208,10 +208,9 @@ public:
         return demarcations_;
     }
 
-    /// Number of registered demarcation points / distinct DP classes (the
-    /// paper quotes "39 demarcation points from 16 classes").
+    /// Number of registered demarcation points (the paper quotes "39
+    /// demarcation points from 16 classes").
     [[nodiscard]] std::size_t demarcation_count() const { return demarcations_.size(); }
-    [[nodiscard]] std::size_t demarcation_class_count() const;
 
     /// CallbackResolver for the call-graph builder: connects AsyncTask-style
     /// execute() calls and volley/retrofit listeners to app callback methods.

@@ -580,25 +580,6 @@ std::vector<std::string> Sig::keywords() const {
     return out;
 }
 
-std::size_t Sig::constant_bytes() const {
-    std::size_t n = 0;
-    switch (kind) {
-        case Kind::kConst: return text.size();
-        case Kind::kUnknown: return 0;
-        case Kind::kXmlElement:
-            n += text.size();
-            [[fallthrough]];
-        case Kind::kJsonObject:
-            for (const auto& [k, v] : members) n += k.size() + v.constant_bytes();
-            for (const auto& c : children) n += c.constant_bytes();
-            for (const auto& t : xml_text) n += t.constant_bytes();
-            return n;
-        default:
-            for (const auto& c : children) n += c.constant_bytes();
-            return n;
-    }
-}
-
 // ------------------------------------------------------------------ merges --
 
 Sig merge_alt(Sig a, Sig b) { return Sig::alt(std::move(a), std::move(b)); }

@@ -137,9 +137,6 @@ public:
     /// keys) contained in this signature — the Fig. 7 metric.
     [[nodiscard]] std::vector<std::string> keywords() const;
 
-    /// Total bytes of constant text (for signature-quality metrics).
-    [[nodiscard]] std::size_t constant_bytes() const;
-
 private:
     void collect_keywords(std::vector<std::string>& out, bool in_structure) const;
 };

@@ -74,13 +74,6 @@ std::string replace_all(std::string_view s, std::string_view from, std::string_v
     }
 }
 
-std::size_t common_prefix_len(std::string_view a, std::string_view b) {
-    std::size_t n = std::min(a.size(), b.size());
-    std::size_t i = 0;
-    while (i < n && a[i] == b[i]) ++i;
-    return i;
-}
-
 bool is_all_digits(std::string_view s) {
     if (s.empty()) return false;
     return std::all_of(s.begin(), s.end(),

@@ -29,9 +29,6 @@ bool contains(std::string_view s, std::string_view needle);
 /// Replaces every occurrence of `from` (non-empty) with `to`.
 std::string replace_all(std::string_view s, std::string_view from, std::string_view to);
 
-/// Longest common prefix length of two strings.
-std::size_t common_prefix_len(std::string_view a, std::string_view b);
-
 /// True if every character is an ASCII decimal digit (and s is non-empty).
 bool is_all_digits(std::string_view s);
 

@@ -6,10 +6,6 @@
 
 namespace extractocol::text {
 
-std::vector<std::string> Uri::path_segments() const {
-    return strings::split_nonempty(path, '/');
-}
-
 const std::string* Uri::query_value(std::string_view key) const {
     for (const auto& p : query) {
         if (p.key == key) return &p.value;

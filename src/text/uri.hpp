@@ -28,9 +28,6 @@ struct Uri {
     std::vector<QueryParam> query;  // decoded, insertion order
     std::string fragment;
 
-    /// Path split on '/', without empty leading segment.
-    [[nodiscard]] std::vector<std::string> path_segments() const;
-
     [[nodiscard]] const std::string* query_value(std::string_view key) const;
 
     /// Re-serializes. Query values are percent-encoded.

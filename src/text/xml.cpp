@@ -18,63 +18,7 @@ const XmlElement* XmlElement::child(std::string_view tag) const {
     return nullptr;
 }
 
-std::vector<const XmlElement*> XmlElement::children_named(std::string_view tag) const {
-    std::vector<const XmlElement*> out;
-    for (const auto& c : children) {
-        if (c->name == tag) out.push_back(c.get());
-    }
-    return out;
-}
-
-XmlElementPtr XmlElement::clone() const {
-    auto copy = std::make_unique<XmlElement>();
-    copy->name = name;
-    copy->attributes = attributes;
-    copy->text = text;
-    copy->children.reserve(children.size());
-    for (const auto& c : children) copy->children.push_back(c->clone());
-    return copy;
-}
-
-std::string xml_escape(std::string_view s) {
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-            case '&': out += "&amp;"; break;
-            case '<': out += "&lt;"; break;
-            case '>': out += "&gt;"; break;
-            case '"': out += "&quot;"; break;
-            case '\'': out += "&apos;"; break;
-            default: out.push_back(c);
-        }
-    }
-    return out;
-}
-
 namespace {
-
-void dump_to(const XmlElement& e, std::string& out) {
-    out.push_back('<');
-    out += e.name;
-    for (const auto& [k, v] : e.attributes) {
-        out.push_back(' ');
-        out += k;
-        out += "=\"";
-        out += xml_escape(v);
-        out.push_back('"');
-    }
-    if (e.children.empty() && e.text.empty()) {
-        out += "/>";
-        return;
-    }
-    out.push_back('>');
-    out += xml_escape(e.text);
-    for (const auto& c : e.children) dump_to(*c, out);
-    out += "</";
-    out += e.name;
-    out.push_back('>');
-}
 
 class Parser {
 public:
@@ -230,12 +174,6 @@ private:
 };
 
 }  // namespace
-
-std::string XmlElement::dump() const {
-    std::string out;
-    dump_to(*this, out);
-    return out;
-}
 
 Result<XmlElementPtr> parse_xml(std::string_view input) { return Parser(input).parse(); }
 

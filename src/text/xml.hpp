@@ -27,19 +27,10 @@ struct XmlElement {
     [[nodiscard]] const std::string* attribute(std::string_view key) const;
     /// First child element with the given tag name, or nullptr.
     [[nodiscard]] const XmlElement* child(std::string_view tag) const;
-    /// All child elements with the given tag name.
-    [[nodiscard]] std::vector<const XmlElement*> children_named(std::string_view tag) const;
-
-    [[nodiscard]] std::string dump() const;
-
-    /// Deep copy (XmlElement itself is move-only because of unique_ptr kids).
-    [[nodiscard]] XmlElementPtr clone() const;
 };
 
 /// Parses one XML document (a single root element; leading <?xml?> prolog and
 /// comments are skipped).
 Result<XmlElementPtr> parse_xml(std::string_view input);
-
-std::string xml_escape(std::string_view s);
 
 }  // namespace extractocol::text

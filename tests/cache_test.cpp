@@ -4,7 +4,9 @@
 // wrong output), clean version-skew invalidation,
 // concurrent writer/reader safety (atomic rename, last-writer-wins), size
 // eviction, and the cached-batch merge contract (errors never cached, input
-// order preserved, hits byte-identical to the stored cold run).
+// order preserved, hits serve the stored cold run's content byte-identically).
+// Entries hold content only, so cold runs at any --jobs write identical
+// bytes.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -87,6 +89,15 @@ void write_file(const fs::path& path, const std::string& bytes) {
     out << bytes;
 }
 
+/// JSON rendering with the two members that measure a run
+/// (metrics.analysis_seconds and metrics.phases) zeroed: the report's
+/// content.
+std::string content_json(core::AnalysisReport report) {
+    report.stats.analysis_seconds = 0;
+    report.stats.phases.clear();
+    return report.to_json().dump_pretty();
+}
+
 }  // namespace
 
 TEST(CacheTest, KeyIsAPureFunctionOfContent) {
@@ -112,16 +123,21 @@ TEST(CacheTest, KeyIsAPureFunctionOfContent) {
 }
 
 TEST(CacheTest, CodecRoundTripIsByteIdentical) {
-    // The strict codec must reproduce EVERY rendering byte-for-byte — the
-    // un-normalized JSON too, which includes measured timings (doubles are
-    // printed with enough digits to round-trip binary64 exactly).
+    // The strict codec must reproduce EVERY rendering byte-for-byte, the
+    // un-normalized JSON too, of the report with its measured run fields
+    // cleared: those describe the run, not the report, and are never
+    // encoded.
     std::vector<std::string> names = corpus::open_source_apps();
     ASSERT_GE(names.size(), 3u);
     names.resize(3);
     for (const auto& name : names) {
-        core::AnalysisReport report = analyze_text(corpus_text(name));
+        core::AnalysisReport measured = analyze_text(corpus_text(name));
         Result<core::AnalysisReport> decoded =
-            cache::report_from_json(cache::report_to_json(report));
+            cache::report_from_json(cache::report_to_json(measured));
+        core::AnalysisReport report = measured;
+        report.stats.analysis_seconds = 0;
+        report.stats.phases.clear();
+        report.stats.peak_bytes = 0;
         ASSERT_TRUE(decoded.ok()) << name << ": " << decoded.error().message;
         EXPECT_EQ(decoded.value().to_text(), report.to_text()) << name;
         EXPECT_EQ(decoded.value().to_json().dump_pretty(),
@@ -155,7 +171,7 @@ TEST(CacheTest, StoreThenLoadReplaysTheReport) {
     std::optional<core::AnalysisReport> loaded = load_cache.load(key);
     ASSERT_TRUE(loaded.has_value());
     EXPECT_EQ(loaded->to_text(), report.to_text());
-    EXPECT_EQ(loaded->to_json().dump_pretty(), report.to_json().dump_pretty());
+    EXPECT_EQ(content_json(*loaded), content_json(report));
     EXPECT_EQ(load_cache.stats().hits, 1u);
     EXPECT_EQ(load_cache.stats().misses, 0u);
     EXPECT_EQ(load_cache.stats().corrupt_entries, 0u);
@@ -164,6 +180,34 @@ TEST(CacheTest, StoreThenLoadReplaysTheReport) {
     EXPECT_FALSE(load_cache.load(std::string(32, '0')).has_value());
     EXPECT_EQ(load_cache.stats().misses, 1u);
     EXPECT_EQ(load_cache.stats().corrupt_entries, 0u);
+}
+
+TEST(CacheTest, ColdRunsWriteByteIdenticalEntriesAtAnyJobs) {
+    // An entry holds the report's content, a function of the input bytes
+    // and the analyzer options, and never the run's timings: cold runs at
+    // --jobs 1 and 4 publish the same files, byte for byte.
+    TempCacheDir serial("entries_jobs1");
+    TempCacheDir parallel("entries_jobs4");
+    const std::vector<std::string> names = {"blippex", "iFixIt", "KAYAK"};
+    auto run_cold = [&](const TempCacheDir& dir, unsigned jobs) {
+        core::AnalyzerOptions options;
+        options.jobs = jobs;
+        std::vector<core::BatchInput> inputs;
+        for (const auto& name : names) inputs.push_back({name + ".xapk", corpus_text(name)});
+        cache::ReportCache report_cache(options_for(dir));
+        cache::CachedBatch batch = cache::analyze_batch_cached(
+            core::Analyzer(options), &report_cache, std::move(inputs));
+        EXPECT_EQ(batch.misses, names.size()) << "jobs=" << jobs;
+    };
+    run_cold(serial, 1);
+    run_cold(parallel, 4);
+    ASSERT_EQ(entry_count(serial.path), names.size());
+    ASSERT_EQ(entry_count(parallel.path), names.size());
+    for (const fs::directory_entry& entry : fs::directory_iterator(serial.path)) {
+        std::string file = entry.path().filename().string();
+        if (file.front() == '.') continue;
+        EXPECT_EQ(read_file(parallel.path / file), read_file(entry.path())) << file;
+    }
 }
 
 TEST(CacheTest, EveryInjectedCorruptionFallsBackCold) {
@@ -271,6 +315,9 @@ TEST(CacheTest, ConcurrentWritersAndReadersNeverSeeTornEntries) {
     std::string text_b = report_b.to_text();
     ASSERT_NE(text_a, text_b);
     const std::string key(32, 'a');  // shared slot both writers fight over
+    // Publish once before the race: otherwise the reader can finish every
+    // load before the first rename lands and the race is never observed.
+    ASSERT_TRUE(report_cache.store(key, report_a));
 
     constexpr int kRounds = 40;
     std::thread writer_a([&] {
@@ -369,8 +416,7 @@ TEST(CacheTest, CachedPathCarriesTheIsolatedRunsCounters) {
     ASSERT_TRUE(warm.items[0].ok());
     EXPECT_EQ(warm.hits, 1u);
     expect_isolated(*warm.items[0].report, "warm");
-    EXPECT_EQ(warm.items[0].report->to_json().dump_pretty(),
-              cold.items[0].report->to_json().dump_pretty())
+    EXPECT_EQ(content_json(*warm.items[0].report), content_json(*cold.items[0].report))
         << "warm replay diverged from the cold-served report";
 
     cache::CachedBatch uncached =
@@ -415,8 +461,7 @@ TEST(CacheTest, KeyCoversTheAnalyzerOptions) {
     cache::CachedBatch cut_again = cache::analyze_batch_cached(
         core::Analyzer(starved_parallel), &report_cache, one_input());
     EXPECT_EQ(cut_again.hits, 1u);
-    EXPECT_EQ(cut_again.items[0].report->to_json().dump_pretty(),
-              cut.items[0].report->to_json().dump_pretty());
+    EXPECT_EQ(content_json(*cut_again.items[0].report), content_json(*cut.items[0].report));
     cache::CachedBatch full_again =
         cache::analyze_batch_cached(core::Analyzer(defaults), &report_cache, one_input());
     EXPECT_EQ(full_again.hits, 1u);

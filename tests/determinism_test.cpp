@@ -343,10 +343,11 @@ TEST(DeterminismTest, EvalTableAndSidecarAreByteIdenticalAcrossJobCounts) {
 TEST(DeterminismTest, WarmCacheReplayIsByteIdenticalToColdAcrossJobCounts) {
     // The persistent cache holds the report stream's determinism bar from
     // the other side: a 100%-hit warm run must reproduce the cold run's
-    // outputs byte-for-byte — the UN-normalized report JSON included, since
-    // a hit replays the cold run's stored timings rather than measuring new
-    // ones — at every --jobs value, through a batch with a poisoned input
-    // (whose error is re-derived cold each run, never cached).
+    // outputs byte-for-byte — the report JSON included, less the two
+    // members that measure a run: a hit measures its own, exactly one
+    // `cache.load` phase — at every --jobs value, through a batch with a
+    // poisoned input (whose error is re-derived cold each run, never
+    // cached).
     namespace fs = std::filesystem;
     fs::path dir = fs::temp_directory_path() /
                    ("xt_determinism_cache_" + std::to_string(::getpid()));
@@ -432,10 +433,14 @@ TEST(DeterminismTest, WarmCacheReplayIsByteIdenticalToColdAcrossJobCounts) {
             if (!a.ok() || !b.ok()) continue;
             EXPECT_EQ(b.report->to_text(), a.report->to_text())
                 << a.file << " text diverged warm at jobs=" << jobs;
-            // Deliberately NOT normalized: the replay includes timings.
-            EXPECT_EQ(b.report->to_json().dump_pretty(),
-                      a.report->to_json().dump_pretty())
-                << a.file << " full JSON diverged warm at jobs=" << jobs;
+            EXPECT_EQ(normalized_json(*b.report), normalized_json(*a.report))
+                << a.file << " JSON diverged warm at jobs=" << jobs;
+            const core::AnalysisStats& hit = b.report->stats;
+            ASSERT_EQ(hit.phases.size(), 1u) << a.file << " jobs=" << jobs;
+            EXPECT_EQ(hit.phases[0].name, "cache.load") << a.file << " jobs=" << jobs;
+            EXPECT_EQ(hit.phases[0].seconds, hit.analysis_seconds)
+                << a.file << " jobs=" << jobs;
+            EXPECT_GT(hit.analysis_seconds, 0.0) << a.file << " jobs=" << jobs;
             EXPECT_EQ(b.report->audit.to_text(), a.report->audit.to_text())
                 << a.file << " audit diverged warm at jobs=" << jobs;
             ASSERT_EQ(b.report->transactions.size(), a.report->transactions.size());
@@ -484,15 +489,15 @@ TEST(DeterminismTest, ReportsAreIdenticalAloneBatchedCachedAndServed) {
         return inputs;
     };
 
-    // Timings zeroed on the rendered document, so the daemon's reply and
-    // in-process reports normalize the same way.
+    // The two members that measure a run removed from the rendered
+    // document: in-process reports carry them, daemon replies are content
+    // only.
     auto normalized = [](text::Json doc) {
         for (auto& [key, value] : doc.members()) {
             if (key != "metrics") continue;
-            for (auto& [field, measured] : value.members()) {
-                if (field == "analysis_seconds") measured = text::Json(0.0);
-                if (field == "phases") measured = text::Json::object();
-            }
+            std::erase_if(value.members(), [](const text::JsonMember& member) {
+                return member.first == "analysis_seconds" || member.first == "phases";
+            });
         }
         return doc.dump_pretty();
     };
@@ -569,7 +574,8 @@ TEST(DeterminismTest, ReportsAreIdenticalAloneBatchedCachedAndServed) {
                 ASSERT_TRUE(xtest::response_ok(reply)) << pass << at;
                 const text::Json* report = reply.find("report");
                 ASSERT_NE(report, nullptr) << pass << at;
-                EXPECT_EQ(normalized(*report), expected_json[i])
+                // Not normalized: a reply carries the report's content only.
+                EXPECT_EQ(report->dump_pretty(), expected_json[i])
                     << names[i] << " JSON diverged: " << pass << at;
             }
         }
@@ -683,10 +689,11 @@ TEST(DeterminismTest, DaemonStatusMetricsAndJournalSkeletonAcrossJobCounts) {
     };
 
     // Normalization mirrors the manifest convention: zero what is measured
-    // (pid, uptime, latency percentiles, byte sizes, temp paths) and what
+    // (pid, uptime, latency percentiles, temp paths) and what
     // is process-global rather than per-daemon (the sliding-window tallies,
     // which older runs in this same process leak into); keep what is a
-    // function of the driven workload (served/errors/ops, cache hit/miss).
+    // function of the driven workload (served/errors/ops, cache hit/miss,
+    // and the bytes on disk of entries that hold content only).
     auto normalize_status = [](text::Json status) {
         for (auto& [key, value] : status.members()) {
             if (key == "pid") value = text::Json(std::int64_t{0});
@@ -695,7 +702,6 @@ TEST(DeterminismTest, DaemonStatusMetricsAndJournalSkeletonAcrossJobCounts) {
             if (key == "cache" && value.is_object()) {
                 for (auto& [ckey, cvalue] : value.members()) {
                     if (ckey == "dir") cvalue = text::Json(std::string());
-                    if (ckey == "bytes") cvalue = text::Json(std::int64_t{0});
                     if (ckey == "window_hits" || ckey == "window_misses") {
                         cvalue = text::Json(std::int64_t{0});
                     }

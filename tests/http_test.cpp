@@ -53,7 +53,7 @@ TEST(Request, StartLine) {
     EXPECT_EQ(r.start_line(), "POST https://h/p?x=1");
 }
 
-TEST(Trace, JsonRoundTrip) {
+TEST(Trace, JsonRendering) {
     Trace trace;
     trace.app = "demo";
     Transaction t;
@@ -68,39 +68,18 @@ TEST(Trace, JsonRoundTrip) {
     t.trigger = "login:login";
     trace.transactions.push_back(t);
 
-    auto round = Trace::from_json(trace.to_json());
-    ASSERT_TRUE(round.ok()) << round.error().message;
-    const Trace& r = round.value();
-    EXPECT_EQ(r.app, "demo");
-    ASSERT_EQ(r.transactions.size(), 1u);
-    const Transaction& rt = r.transactions[0];
-    EXPECT_EQ(rt.request.method, Method::kPost);
-    EXPECT_EQ(rt.request.uri.to_string(), "http://api/login");
-    ASSERT_NE(rt.request.header("cookie"), nullptr);
-    EXPECT_EQ(rt.request.body, "user=a&passwd=b");
-    EXPECT_EQ(rt.response.status, 201);
-    EXPECT_EQ(rt.response.body_kind, BodyKind::kJson);
-    EXPECT_EQ(rt.trigger, "login:login");
-}
-
-TEST(Trace, FromJsonRejectsMalformed) {
-    EXPECT_FALSE(Trace::from_json(text::Json(5)).ok());
-    EXPECT_FALSE(Trace::from_json(text::parse_json(R"({"app":"x"})").value()).ok());
-    EXPECT_FALSE(Trace::from_json(
-                     text::parse_json(R"({"transactions":[{"method":"GET"}]})").value())
-                     .ok());
-    EXPECT_FALSE(
-        Trace::from_json(
-            text::parse_json(
-                R"({"transactions":[{"method":"BAD","uri":"http://h/"}]})")
-                .value())
-            .ok());
-}
-
-TEST(Trace, EmptyTraceRoundTrips) {
-    Trace trace;
-    trace.app = "empty";
-    auto round = Trace::from_json(trace.to_json());
-    ASSERT_TRUE(round.ok());
-    EXPECT_TRUE(round.value().transactions.empty());
+    text::Json doc = trace.to_json();
+    EXPECT_EQ(doc.find("app")->as_string(), "demo");
+    const text::Json* txns = doc.find("transactions");
+    ASSERT_NE(txns, nullptr);
+    ASSERT_EQ(txns->items().size(), 1u);
+    const text::Json& rt = txns->items()[0];
+    EXPECT_EQ(rt.find("method")->as_string(), "POST");
+    EXPECT_EQ(rt.find("uri")->as_string(), "http://api/login");
+    EXPECT_EQ(rt.find("request_headers")->find("Cookie")->as_string(), "sid=1");
+    EXPECT_EQ(rt.find("request_body")->as_string(), "user=a&passwd=b");
+    EXPECT_EQ(rt.find("request_body_kind")->as_string(), "query");
+    EXPECT_EQ(rt.find("status")->as_int(), 201);
+    EXPECT_EQ(rt.find("response_body_kind")->as_string(), "json");
+    EXPECT_EQ(rt.find("trigger")->as_string(), "login:login");
 }

@@ -282,13 +282,6 @@ TEST(Trace, SpansNestIntoTree) {
     EXPECT_EQ(events[0].depth, events[1].depth + 1);
     EXPECT_GE(events[0].start_us, events[1].start_us);
     EXPECT_LE(events[0].duration_us, events[1].duration_us);
-
-    std::string summary = recorder.summary();
-    auto outer_pos = summary.find("test.outer");
-    auto inner_pos = summary.find("test.inner");
-    ASSERT_NE(outer_pos, std::string::npos);
-    ASSERT_NE(inner_pos, std::string::npos);
-    EXPECT_LT(outer_pos, inner_pos);  // parent line precedes child line
     recorder.clear();
 }
 
@@ -453,7 +446,6 @@ TEST(Telemetry, FleetAggregation) {
     telemetry.add(make_record("b.xapk", "partial", 0.020));
     telemetry.add(make_record("c.xapk", "error", 0.0));
     telemetry.add(make_record("d.xapk", "complete", 0.040));
-    EXPECT_EQ(telemetry.app_count(), 4u);
 
     obs::FleetStats fleet = telemetry.fleet();
     EXPECT_EQ(fleet.apps, 4u);

@@ -117,11 +117,6 @@ TEST(SigIl, XmlKeywordsIncludeTagsAndAttributes) {
     EXPECT_EQ(keywords.size(), 3u);  // ad, width, url
 }
 
-TEST(SigIl, ConstantBytes) {
-    Sig s = Sig::concat_all({Sig::constant("abc"), Sig::unknown(), Sig::constant("de")});
-    EXPECT_EQ(s.constant_bytes(), 5u);
-}
-
 TEST(SigIl, PureWildcard) {
     EXPECT_TRUE(Sig::unknown().is_pure_wildcard());
     EXPECT_TRUE(Sig::concat(Sig::constant(""), Sig::unknown()).is_pure_wildcard());

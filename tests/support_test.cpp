@@ -75,12 +75,6 @@ TEST(Strings, ReplaceAll) {
     EXPECT_EQ(es::replace_all("x", "", "y"), "x");
 }
 
-TEST(Strings, CommonPrefixLen) {
-    EXPECT_EQ(es::common_prefix_len("http://a", "http://b"), 7u);
-    EXPECT_EQ(es::common_prefix_len("", "x"), 0u);
-    EXPECT_EQ(es::common_prefix_len("same", "same"), 4u);
-}
-
 TEST(Strings, IsAllDigits) {
     EXPECT_TRUE(es::is_all_digits("0123"));
     EXPECT_FALSE(es::is_all_digits(""));

@@ -85,7 +85,6 @@ TEST(Xml, ParseBasic) {
     EXPECT_EQ(*root.attribute("a"), "1");
     EXPECT_EQ(root.children.size(), 2u);
     EXPECT_EQ(root.children[0]->text, "text");
-    EXPECT_EQ(root.children_named("child").size(), 2u);
 }
 
 TEST(Xml, PrologAndComments) {
@@ -99,20 +98,6 @@ TEST(Xml, Entities) {
     ASSERT_TRUE(doc.ok());
     EXPECT_EQ(*doc.value()->attribute("a"), "x&y");
     EXPECT_EQ(doc.value()->text, "1 < 2");
-}
-
-TEST(Xml, RoundTrip) {
-    const char* text = "<ad><url>http://x/v.mp4</url><size w=\"640\" h=\"480\"/></ad>";
-    auto doc = std::move(parse_xml(text)).take();
-    auto again = parse_xml(doc->dump());
-    ASSERT_TRUE(again.ok());
-    EXPECT_EQ(doc->dump(), again.value()->dump());
-}
-
-TEST(Xml, Clone) {
-    auto doc = std::move(parse_xml("<a><b x=\"1\">t</b></a>")).take();
-    auto copy = doc->clone();
-    EXPECT_EQ(doc->dump(), copy->dump());
 }
 
 TEST(Xml, Errors) {
@@ -137,9 +122,6 @@ TEST(Uri, ParseFull) {
     EXPECT_EQ(u.query[0].key, "a");
     EXPECT_EQ(*u.query_value("b"), "two");
     EXPECT_EQ(u.fragment, "frag");
-    auto segments = u.path_segments();
-    ASSERT_EQ(segments.size(), 3u);
-    EXPECT_EQ(segments[2], "99.json");
 }
 
 TEST(Uri, Minimal) {

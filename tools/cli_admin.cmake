@@ -9,7 +9,8 @@
 #   * `--connect <sock> --metrics-live` prints Prometheus text exposition
 #     with TYPE headers and the daemon request counter;
 #   * the `--journal` file exists and holds one JSONL record per request
-#     with per-request ids and outcomes;
+#     with per-request ids and outcomes, and the hit's record carries its
+#     own single cache.load phase;
 #   * `--slow-ms 0` put a per-phase breakdown on the daemon's stderr;
 #   * SIGTERM still shuts the instrumented daemon down cleanly (exit 0).
 #
@@ -173,6 +174,11 @@ foreach(needle "\"request\":1" "\"op\":\"file\"" "\"op\":\"status\"" "\"op\":\"m
     message(FATAL_ERROR "journal missing ${needle}:\n${journal_text}")
   endif()
 endforeach()
+# The hit's record measures its own run: one cache.load phase, not the
+# phases of the cold run that stored the entry.
+if(NOT journal_text MATCHES "\"cached\":true,\"outcome\":\"ok\",\"wall_seconds\":[-+.eE0-9]+,\"phases\":\[{\"name\":\"cache.load\",\"seconds\":[-+.eE0-9]+}\]")
+  message(FATAL_ERROR "the hit's journal record must carry one cache.load phase:\n${journal_text}")
+endif()
 
 # --- --slow-ms 0: per-phase breakdown on the daemon log ----------------------
 file(READ "${daemon_log}" log_text)

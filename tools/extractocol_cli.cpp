@@ -58,10 +58,11 @@
 //                          scoring; the stderr table still needs --eval)
 //   --cache-dir <dir>      persistent content-addressed report cache: an
 //                          input whose bytes were analyzed before (by this
-//                          analyzer version) replays the stored report
-//                          byte-identically instead of re-analyzing;
-//                          corrupt entries are detected, dropped, and fall
-//                          back to cold analysis
+//                          analyzer version) serves the stored report
+//                          content byte-identically instead of re-analyzing,
+//                          timed as its own cache.load phase; corrupt
+//                          entries are detected, dropped, and fall back to
+//                          cold analysis
 //   --cache-max-bytes <n>  evict oldest cache entries past n bytes (0 =
 //                          unbounded, the default)
 //   --serve <socket>       run as a long-lived daemon on a Unix domain
@@ -141,8 +142,8 @@ void print_usage(std::FILE* out, const char* argv0) {
                  "  --progress            live \"k/N apps, ETA\" line on stderr\n"
                  "caching:\n"
                  "  --cache-dir DIR       persistent content-addressed report cache;\n"
-                 "                        hits skip analysis and replay the stored\n"
-                 "                        report byte-identically\n"
+                 "                        hits skip analysis, serve the stored content\n"
+                 "                        byte-identically and time their own load\n"
                  "  --cache-max-bytes N   evict oldest entries past N bytes\n"
                  "                        (0 = unbounded)\n"
                  "serving:\n"
