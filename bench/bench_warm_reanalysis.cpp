@@ -7,9 +7,8 @@
 // (endpoint path bump -> new serialized bytes -> new content key), then run
 // the updated workload warm (32 hits + 2 misses) and cold (no cache). The
 // table reports both wall times and the speedup; the default mode gates
-// speedup >= 10x, checks that every unchanged app's warm report is
-// byte-identical to its primed cold report (less the two members that
-// measure a run), and diffs the deterministic
+// speedup >= 10x, checks that every unchanged app's warm report renders
+// byte-identically to its primed cold report, and diffs the deterministic
 // workload profile (apps, changed, hits, misses, transactions,
 // dependencies) against the committed snapshot bench/BENCH_warm.json.
 // `--update` re-snapshots in place; an explicit path argument writes there
@@ -37,15 +36,6 @@ namespace {
 double seconds_since(std::chrono::steady_clock::time_point start) {
     return std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
         .count();
-}
-
-/// JSON rendering with the two members that measure a run
-/// (metrics.analysis_seconds and metrics.phases) zeroed: the report's
-/// content. A hit measures its own load, so only the content must match.
-std::string content_json(core::AnalysisReport report) {
-    report.stats.analysis_seconds = 0;
-    report.stats.phases.clear();
-    return report.to_json().dump_pretty();
 }
 
 }  // namespace
@@ -175,10 +165,9 @@ int main(int argc, char** argv) {
         return 1;
     }
 
-    // Correctness before speed: every unchanged app's warm report carries
-    // the primed cold report's content byte-for-byte (JSON less the two
-    // measured members); the changed apps agree with the cold re-analysis
-    // textually.
+    // Correctness before speed: every unchanged app's warm report renders
+    // the primed cold report's JSON byte-for-byte; the changed apps agree
+    // with the cold re-analysis textually.
     std::size_t transactions = 0;
     std::size_t dependencies = 0;
     for (std::size_t i = 0; i < warm.items.size(); ++i) {
@@ -200,7 +189,8 @@ int main(int argc, char** argv) {
                 return 1;
             }
         } else if (warm.from_cache[i] != 1 ||
-                   content_json(*item.report) != content_json(*primed.items[i].report)) {
+                   item.report->to_json().dump_pretty() !=
+                       primed.items[i].report->to_json().dump_pretty()) {
             std::fprintf(stderr,
                          "WRONG OUTPUT: warm replay of %s is not byte-identical\n",
                          item.file.c_str());

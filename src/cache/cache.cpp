@@ -14,6 +14,7 @@
 #include "obs/metrics.hpp"
 #include "support/hash.hpp"
 #include "support/log.hpp"
+#include "support/parallel.hpp"
 #include "support/sha256.hpp"
 
 namespace extractocol::cache {
@@ -433,26 +434,34 @@ CachedBatch analyze_batch_cached(const core::Analyzer& analyzer, ReportCache* ca
     batch.from_cache.assign(inputs.size(), 0);
     // Empty keys when running cacheless: no key is ever computed.
     batch.keys.resize(inputs.size());
-    std::vector<std::size_t> miss_index;
-    std::vector<core::BatchInput> misses;
-    for (std::size_t i = 0; i < inputs.size(); ++i) {
-        if (cache != nullptr) {
-            batch.keys[i] = ReportCache::key_for(inputs[i].text, analyzer.options());
-            auto start = std::chrono::steady_clock::now();
-            std::optional<core::AnalysisReport> report = cache->load(batch.keys[i]);
-            if (report) {
+    std::vector<std::optional<core::AnalysisReport>> loaded(inputs.size());
+    if (cache != nullptr) {
+        // Inputs key and load independently, so they run on the --jobs width
+        // into per-index slots; a one-input batch runs inline.
+        support::parallel_for(
+            support::resolve_jobs(analyzer.options().jobs), inputs.size(),
+            [&](std::size_t i) {
+                batch.keys[i] = ReportCache::key_for(inputs[i].text, analyzer.options());
+                auto start = std::chrono::steady_clock::now();
+                loaded[i] = cache->load(batch.keys[i]);
+                if (!loaded[i]) return;
                 // Entries hold content only; the run that served this report
                 // is the load, so that is the time it reports.
                 double seconds = std::chrono::duration<double>(
                                      std::chrono::steady_clock::now() - start)
                                      .count();
-                report->stats.analysis_seconds = seconds;
-                report->stats.phases = {{"cache.load", seconds}};
-                batch.items[i].file = inputs[i].file;
-                batch.items[i].report = std::move(*report);
-                batch.from_cache[i] = 1;
-                continue;
-            }
+                loaded[i]->stats.analysis_seconds = seconds;
+                loaded[i]->stats.phases = {{"cache.load", seconds}};
+            });
+    }
+    std::vector<std::size_t> miss_index;
+    std::vector<core::BatchInput> misses;
+    for (std::size_t i = 0; i < inputs.size(); ++i) {
+        if (loaded[i]) {
+            batch.items[i].file = inputs[i].file;
+            batch.items[i].report = std::move(*loaded[i]);
+            batch.from_cache[i] = 1;
+            continue;
         }
         miss_index.push_back(i);
         misses.push_back(std::move(inputs[i]));

@@ -9,8 +9,9 @@
 // check can catch that; never std::hash and never intern Symbol ids
 // (nothing process-local may reach persisted state). An entry holds the
 // report's content only — its run-scoped counters included, never the cold
-// run's timings — so a hit bypasses the whole analyzer, serves the stored
-// content byte-identically, and reports its own load time.
+// run's timings — so a hit bypasses the whole analyzer and every rendering
+// of it (to_json included) is byte-identical to the cold run's. Its stats
+// carry its own load time, which no rendering shows.
 //
 // On-disk envelope (`extractocol.cache/v1`): one ASCII header line
 //
@@ -157,9 +158,9 @@ struct CachedBatch {
     std::size_t misses = 0;
 };
 
-/// Cache-aware analyze_batch: serves hits from `cache`, runs the misses
-/// through one analyzer.analyze_batch (keeping the --jobs pool semantics),
-/// stores every successful miss, and merges results back in input order.
+/// Cache-aware analyze_batch: keys and loads every input on the analyzer's
+/// --jobs width, runs the misses through one analyzer.analyze_batch, stores
+/// every successful miss, and merges results back in input order.
 /// A hit's measured stats are its own: analysis_seconds is the load time
 /// and phases is exactly {"cache.load", that time}.
 /// Error items are never cached. Entries are keyed by content and options

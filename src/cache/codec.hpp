@@ -8,9 +8,9 @@
 // type, provenance, members, repetition), transaction signatures,
 // dependency edges, the deterministic stats (counter deltas included), and
 // the per-DP-site audit. The measured fields of AnalysisStats
-// (analysis_seconds, phases, peak_bytes) describe one run, not the report,
-// and are never encoded: they decode as zero and whoever serves the report
-// measures its own run.
+// (analysis_seconds, phases, peak_bytes) describe one run, not the report:
+// no rendering shows them and they are never encoded. They decode as zero,
+// and whoever serves the report measures its own run.
 //
 // Decoding is strict: unknown enum values, missing fields, type mismatches,
 // and out-of-range dependency indices all fail with an error (the cache

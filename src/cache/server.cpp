@@ -371,17 +371,9 @@ text::Json handle_request(ServerState& state, const std::string& line,
     response.set("ok", text::Json(true));
     response.set("file", text::Json(item.file));
     response.set("cached", text::Json(batch.hits > 0));
-    // A reply carries the report's content only, so it is a pure function of
-    // the input bytes and options, hit or miss. What this request's run took
-    // is the request record's (journal, slow log, status).
-    text::Json report = item.report->to_json();
-    for (auto& [key, value] : report.members()) {
-        if (key != "metrics") continue;
-        std::erase_if(value.members(), [](const text::JsonMember& member) {
-            return member.first == "analysis_seconds" || member.first == "phases";
-        });
-    }
-    response.set("report", std::move(report));
+    // What this request's run took is the request record's (journal, slow
+    // log, status); the report renders its content only.
+    response.set("report", item.report->to_json());
     return response;
 }
 

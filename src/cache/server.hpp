@@ -11,15 +11,14 @@
 //   <- {"ok": false, "error": "..."}
 //
 // Misses run through Analyzer::analyze_batch (the daemon's --jobs pool);
-// hits serve the cached content byte-identically. A reply's report is
-// content only, without metrics.analysis_seconds and metrics.phases, so the
-// same bytes always get the same reply; each request's own run (analysis
-// phases on a miss, one `cache.load` phase on a hit) is in its
-// RequestRecord below. Each connection is served by its own thread, so
-// concurrent clients racing on the same miss exercise the cache's
-// atomic-rename last-writer-wins path. SIGTERM/SIGINT (or an
-// {"op":"shutdown"} request) stop the accept loop via a self-pipe, drain
-// open connections, and unlink the socket.
+// hits serve the cached content byte-identically. A reply's report is the
+// report's to_json(), which renders content only, so the same bytes always
+// get the same reply; each request's own run (analysis phases on a miss,
+// one `cache.load` phase on a hit) is in its RequestRecord below. Each
+// connection is served by its own thread, so concurrent clients racing on
+// the same miss exercise the cache's atomic-rename last-writer-wins path.
+// SIGTERM/SIGINT (or an {"op":"shutdown"} request) stop the accept loop
+// via a self-pipe, drain open connections, and unlink the socket.
 //
 // Observability (PR 10): every request gets a monotonic id and becomes one
 // obs::RequestRecord — op, cache key, hit/miss, outcome, wall + per-phase

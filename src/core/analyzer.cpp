@@ -641,14 +641,6 @@ obs::AppRunRecord telemetry_record(const BatchItem& item,
 
 // ------------------------------------------------------------ tabulation --
 
-std::size_t AnalysisReport::count_method(http::Method method) const {
-    return static_cast<std::size_t>(
-        std::count_if(transactions.begin(), transactions.end(),
-                      [method](const ReportTransaction& t) {
-                          return t.signature.method == method;
-                      }));
-}
-
 std::size_t AnalysisReport::pair_count() const {
     return static_cast<std::size_t>(
         std::count_if(transactions.begin(), transactions.end(),
@@ -779,7 +771,6 @@ text::Json AnalysisReport::to_json() const {
     doc.set("dependencies", std::move(edges));
 
     text::Json metrics = text::Json::object();
-    metrics.set("analysis_seconds", text::Json(stats.analysis_seconds));
     metrics.set("total_statements",
                 text::Json(static_cast<std::int64_t>(stats.total_statements)));
     metrics.set("slice_statements",
@@ -791,9 +782,6 @@ text::Json AnalysisReport::to_json() const {
     metrics.set("budget_steps_used",
                 text::Json(static_cast<std::int64_t>(stats.budget_steps_used)));
     metrics.set("budget_exhausted", text::Json(stats.budget_exhausted));
-    text::Json phases = text::Json::object();
-    for (const auto& p : stats.phases) phases.set(p.name, text::Json(p.seconds));
-    metrics.set("phases", std::move(phases));
     text::Json counter_obj = text::Json::object();
     for (const auto& [name, value] : stats.counters) {
         counter_obj.set(name, text::Json(static_cast<std::int64_t>(value)));

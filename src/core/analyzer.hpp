@@ -75,8 +75,8 @@ struct AnalysisStats {
     std::size_t dropped_intent_contexts = 0;
     /// Wall time of the run that produced this report. This field,
     /// `phases` and `peak_bytes` measure a run, not the report's content:
-    /// the cache never persists them, and a cache hit reports its own load
-    /// time as the single phase `cache.load`.
+    /// to_json() never renders them, the cache never persists them, and a
+    /// cache hit reports its own load time as the single phase `cache.load`.
     double analysis_seconds = 0;
     /// Per-phase wall times in pipeline order. `xapk.parse` is present only
     /// when the analysis started from .xapk text. The remaining phases
@@ -159,7 +159,6 @@ struct AnalysisReport {
     AnalysisAudit audit;
 
     // ----------------------------------------------------- tabulations --
-    [[nodiscard]] std::size_t count_method(http::Method method) const;
     /// Transactions whose response body is processed by the app (Table 1's
     /// #Pair column).
     [[nodiscard]] std::size_t pair_count() const;
@@ -168,6 +167,9 @@ struct AnalysisReport {
 
     /// Paper-style text rendering (transaction table + dependency graph).
     [[nodiscard]] std::string to_text() const;
+    /// The report's content as JSON: a pure function of the input bytes and
+    /// the analyzer options, so it is byte-identical at any --jobs, cold or
+    /// from the cache, in-process or over the daemon.
     [[nodiscard]] text::Json to_json() const;
 
     /// Provenance tree of one transaction (0-based index): every signature

@@ -597,11 +597,4 @@ http::Trace Interpreter::fuzz(FuzzMode mode) {
     return impl_->trace;
 }
 
-const http::Trace& Interpreter::trace() const { return impl_->trace; }
-
-void Interpreter::reset() {
-    auto fresh = std::make_shared<Impl>(*impl_->program, *impl_->server, impl_->options);
-    impl_ = std::move(fresh);
-}
-
 }  // namespace extractocol::interp

@@ -77,9 +77,6 @@ public:
     /// database, preferences) persists across events within one call.
     [[nodiscard]] http::Trace fuzz(FuzzMode mode);
 
-    [[nodiscard]] const http::Trace& trace() const;
-    void reset();
-
 private:
     struct Impl;
     std::shared_ptr<Impl> impl_;

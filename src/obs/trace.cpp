@@ -79,12 +79,6 @@ std::uint64_t TraceRecorder::to_us(std::chrono::steady_clock::time_point t) cons
     return us > 0 ? static_cast<std::uint64_t>(us) : 0;
 }
 
-std::uint64_t TraceRecorder::now_us() const {
-    return static_cast<std::uint64_t>(std::chrono::duration_cast<std::chrono::microseconds>(
-                                          std::chrono::steady_clock::now() - epoch_)
-                                          .count());
-}
-
 std::uint32_t TraceRecorder::thread_number() {
     std::thread::id self = std::this_thread::get_id();
     std::lock_guard<std::mutex> lock(mutex_);

@@ -70,8 +70,6 @@ public:
     /// first seen through a Span (no explicit name) hold an empty string.
     [[nodiscard]] std::vector<std::string> thread_names() const;
 
-    /// Microseconds elapsed since the recorder epoch.
-    [[nodiscard]] std::uint64_t now_us() const;
     /// A specific instant in epoch microseconds (clamped to 0 for instants
     /// before the epoch). Monotone, so span nesting order survives the
     /// truncation — reconstructing starts as end minus duration does not.

@@ -15,6 +15,11 @@ using taint::AccessPath;
 using taint::Direction;
 using taint::TaintSeed;
 
+namespace {
+/// Cap on calling contexts explored per DP site.
+constexpr std::size_t kMaxContexts = 64;
+}  // namespace
+
 Slicer::Slicer(const Program& program, const semantics::SemanticModel& model,
                SlicerOptions options)
     : program_(&program), model_(&model), options_(options) {
@@ -73,7 +78,7 @@ std::vector<SlicedTransaction> Slicer::slice_site(const StmtRef& site,
 
     // One transaction per acyclic calling context (disjoint sub-slices).
     auto contexts = callgraph_->contexts_reaching(site.method_index, 24,
-                                                  options_.max_contexts);
+                                                  kMaxContexts);
     obs::counter("slicer.contexts").add(contexts.size());
 
     // Request/response slices are computed once per DP site (taint is

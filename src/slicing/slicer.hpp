@@ -43,8 +43,6 @@ struct SlicerOptions {
     /// §3.4 async-event heuristic (cross-event flows through statics/db/
     /// prefs). The paper disables it for open-source apps (§5.1).
     bool async_heuristic = true;
-    /// Cap on calling contexts explored per DP site.
-    std::size_t max_contexts = 64;
     /// Async-chain depth (taint::EngineOptions::max_global_hops). The paper's
     /// implementation stops at one hop (§4); higher values implement its
     /// "multiple iterations" extension.

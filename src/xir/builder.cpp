@@ -128,16 +128,6 @@ MethodBuilder& MethodBuilder::store_static(std::string cls, std::string field, O
     return *this;
 }
 
-MethodBuilder& MethodBuilder::load_array(LocalId dst, LocalId array, Operand index) {
-    emit(LoadArray{dst, array, std::move(index)});
-    return *this;
-}
-
-MethodBuilder& MethodBuilder::store_array(LocalId array, Operand index, Operand src) {
-    emit(StoreArray{array, std::move(index), std::move(src)});
-    return *this;
-}
-
 MethodBuilder& MethodBuilder::binop(LocalId dst, BinaryOp::Op op, Operand lhs, Operand rhs) {
     emit(BinaryOp{dst, op, std::move(lhs), std::move(rhs)});
     return *this;

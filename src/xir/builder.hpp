@@ -59,8 +59,6 @@ public:
     MethodBuilder& store_field(LocalId base, std::string field, Operand src);
     MethodBuilder& load_static(LocalId dst, std::string cls, std::string field);
     MethodBuilder& store_static(std::string cls, std::string field, Operand src);
-    MethodBuilder& load_array(LocalId dst, LocalId array, Operand index);
-    MethodBuilder& store_array(LocalId array, Operand index, Operand src);
     MethodBuilder& binop(LocalId dst, BinaryOp::Op op, Operand lhs, Operand rhs);
     /// String concat convenience: dst = lhs ++ rhs.
     MethodBuilder& concat(LocalId dst, Operand lhs, Operand rhs);

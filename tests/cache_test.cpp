@@ -89,15 +89,6 @@ void write_file(const fs::path& path, const std::string& bytes) {
     out << bytes;
 }
 
-/// JSON rendering with the two members that measure a run
-/// (metrics.analysis_seconds and metrics.phases) zeroed: the report's
-/// content.
-std::string content_json(core::AnalysisReport report) {
-    report.stats.analysis_seconds = 0;
-    report.stats.phases.clear();
-    return report.to_json().dump_pretty();
-}
-
 }  // namespace
 
 TEST(CacheTest, KeyIsAPureFunctionOfContent) {
@@ -123,21 +114,16 @@ TEST(CacheTest, KeyIsAPureFunctionOfContent) {
 }
 
 TEST(CacheTest, CodecRoundTripIsByteIdentical) {
-    // The strict codec must reproduce EVERY rendering byte-for-byte, the
-    // un-normalized JSON too, of the report with its measured run fields
-    // cleared: those describe the run, not the report, and are never
-    // encoded.
+    // The strict codec must reproduce EVERY rendering of the measured
+    // report byte-for-byte. Its run timings are never encoded, and no
+    // rendering shows them.
     std::vector<std::string> names = corpus::open_source_apps();
     ASSERT_GE(names.size(), 3u);
     names.resize(3);
     for (const auto& name : names) {
-        core::AnalysisReport measured = analyze_text(corpus_text(name));
+        core::AnalysisReport report = analyze_text(corpus_text(name));
         Result<core::AnalysisReport> decoded =
-            cache::report_from_json(cache::report_to_json(measured));
-        core::AnalysisReport report = measured;
-        report.stats.analysis_seconds = 0;
-        report.stats.phases.clear();
-        report.stats.peak_bytes = 0;
+            cache::report_from_json(cache::report_to_json(report));
         ASSERT_TRUE(decoded.ok()) << name << ": " << decoded.error().message;
         EXPECT_EQ(decoded.value().to_text(), report.to_text()) << name;
         EXPECT_EQ(decoded.value().to_json().dump_pretty(),
@@ -171,7 +157,7 @@ TEST(CacheTest, StoreThenLoadReplaysTheReport) {
     std::optional<core::AnalysisReport> loaded = load_cache.load(key);
     ASSERT_TRUE(loaded.has_value());
     EXPECT_EQ(loaded->to_text(), report.to_text());
-    EXPECT_EQ(content_json(*loaded), content_json(report));
+    EXPECT_EQ(loaded->to_json().dump_pretty(), report.to_json().dump_pretty());
     EXPECT_EQ(load_cache.stats().hits, 1u);
     EXPECT_EQ(load_cache.stats().misses, 0u);
     EXPECT_EQ(load_cache.stats().corrupt_entries, 0u);
@@ -416,7 +402,8 @@ TEST(CacheTest, CachedPathCarriesTheIsolatedRunsCounters) {
     ASSERT_TRUE(warm.items[0].ok());
     EXPECT_EQ(warm.hits, 1u);
     expect_isolated(*warm.items[0].report, "warm");
-    EXPECT_EQ(content_json(*warm.items[0].report), content_json(*cold.items[0].report))
+    EXPECT_EQ(warm.items[0].report->to_json().dump_pretty(),
+              cold.items[0].report->to_json().dump_pretty())
         << "warm replay diverged from the cold-served report";
 
     cache::CachedBatch uncached =
@@ -461,7 +448,8 @@ TEST(CacheTest, KeyCoversTheAnalyzerOptions) {
     cache::CachedBatch cut_again = cache::analyze_batch_cached(
         core::Analyzer(starved_parallel), &report_cache, one_input());
     EXPECT_EQ(cut_again.hits, 1u);
-    EXPECT_EQ(content_json(*cut_again.items[0].report), content_json(*cut.items[0].report));
+    EXPECT_EQ(cut_again.items[0].report->to_json().dump_pretty(),
+              cut.items[0].report->to_json().dump_pretty());
     cache::CachedBatch full_again =
         cache::analyze_batch_cached(core::Analyzer(defaults), &report_cache, one_input());
     EXPECT_EQ(full_again.hits, 1u);

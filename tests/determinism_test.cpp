@@ -41,15 +41,6 @@ core::AnalysisReport analyze(const xir::Program& program, bool open_source,
     return core::Analyzer(options).analyze(program);
 }
 
-/// JSON rendering with the wall-clock fields zeroed: timings legitimately
-/// vary across runs and thread counts, everything else must not.
-std::string normalized_json(const core::AnalysisReport& report) {
-    core::AnalysisReport copy = report;
-    copy.stats.analysis_seconds = 0;
-    copy.stats.phases.clear();
-    return copy.to_json().dump_pretty();
-}
-
 }  // namespace
 
 TEST(DeterminismTest, ReportsAreByteIdenticalAcrossJobCounts) {
@@ -62,14 +53,14 @@ TEST(DeterminismTest, ReportsAreByteIdenticalAcrossJobCounts) {
         corpus::CorpusApp app = corpus::build_app(name);
         core::AnalysisReport baseline = analyze(app.program, app.spec.open_source, 1);
         std::string baseline_text = baseline.to_text();
-        std::string baseline_json = normalized_json(baseline);
+        std::string baseline_json = baseline.to_json().dump_pretty();
 
         for (unsigned jobs : {2u, 8u}) {
             core::AnalysisReport parallel =
                 analyze(app.program, app.spec.open_source, jobs);
             EXPECT_EQ(parallel.to_text(), baseline_text)
                 << name << " text report diverged at jobs=" << jobs;
-            EXPECT_EQ(normalized_json(parallel), baseline_json)
+            EXPECT_EQ(parallel.to_json().dump_pretty(), baseline_json)
                 << name << " JSON report diverged at jobs=" << jobs;
             // Spot-check the jobs-independent stats directly so a failure
             // names the diverging quantity instead of a wall of JSON.
@@ -165,7 +156,7 @@ TEST(DeterminismTest, BudgetCutIsByteIdenticalAcrossJobCounts) {
             core::AnalysisReport baseline = core::Analyzer(options).analyze(app.program);
             std::string baseline_text = baseline.to_text();
             std::string baseline_audit = baseline.audit.to_text();
-            std::string baseline_json = normalized_json(baseline);
+            std::string baseline_json = baseline.to_json().dump_pretty();
 
             for (unsigned jobs : {2u, 8u}) {
                 options.jobs = jobs;
@@ -173,7 +164,7 @@ TEST(DeterminismTest, BudgetCutIsByteIdenticalAcrossJobCounts) {
                     core::Analyzer(options).analyze(app.program);
                 EXPECT_EQ(parallel.to_text(), baseline_text)
                     << name << " budget=" << cap << " diverged at jobs=" << jobs;
-                EXPECT_EQ(normalized_json(parallel), baseline_json)
+                EXPECT_EQ(parallel.to_json().dump_pretty(), baseline_json)
                     << name << " budget=" << cap << " JSON diverged at jobs=" << jobs;
                 EXPECT_EQ(parallel.audit.to_text(), baseline_audit)
                     << name << " budget=" << cap << " audit diverged at jobs=" << jobs;
@@ -343,9 +334,9 @@ TEST(DeterminismTest, EvalTableAndSidecarAreByteIdenticalAcrossJobCounts) {
 TEST(DeterminismTest, WarmCacheReplayIsByteIdenticalToColdAcrossJobCounts) {
     // The persistent cache holds the report stream's determinism bar from
     // the other side: a 100%-hit warm run must reproduce the cold run's
-    // outputs byte-for-byte — the report JSON included, less the two
-    // members that measure a run: a hit measures its own, exactly one
-    // `cache.load` phase — at every --jobs value, through a batch with a
+    // outputs byte-for-byte — the report JSON included; a hit's stats
+    // measure its own run, exactly one `cache.load` phase, which no
+    // rendering shows — at every --jobs value, through a batch with a
     // poisoned input (whose error is re-derived cold each run, never
     // cached).
     namespace fs = std::filesystem;
@@ -433,7 +424,8 @@ TEST(DeterminismTest, WarmCacheReplayIsByteIdenticalToColdAcrossJobCounts) {
             if (!a.ok() || !b.ok()) continue;
             EXPECT_EQ(b.report->to_text(), a.report->to_text())
                 << a.file << " text diverged warm at jobs=" << jobs;
-            EXPECT_EQ(normalized_json(*b.report), normalized_json(*a.report))
+            EXPECT_EQ(b.report->to_json().dump_pretty(),
+                      a.report->to_json().dump_pretty())
                 << a.file << " JSON diverged warm at jobs=" << jobs;
             const core::AnalysisStats& hit = b.report->stats;
             ASSERT_EQ(hit.phases.size(), 1u) << a.file << " jobs=" << jobs;
@@ -489,25 +481,12 @@ TEST(DeterminismTest, ReportsAreIdenticalAloneBatchedCachedAndServed) {
         return inputs;
     };
 
-    // The two members that measure a run removed from the rendered
-    // document: in-process reports carry them, daemon replies are content
-    // only.
-    auto normalized = [](text::Json doc) {
-        for (auto& [key, value] : doc.members()) {
-            if (key != "metrics") continue;
-            std::erase_if(value.members(), [](const text::JsonMember& member) {
-                return member.first == "analysis_seconds" || member.first == "phases";
-            });
-        }
-        return doc.dump_pretty();
-    };
-
     std::vector<std::string> expected_json;
     std::vector<std::string> expected_audit;
     for (const auto& text : texts) {
         auto report = core::Analyzer().analyze_xapk(text);
         ASSERT_TRUE(report.ok());
-        expected_json.push_back(normalized(report.value().to_json()));
+        expected_json.push_back(report.value().to_json().dump_pretty());
         expected_audit.push_back(report.value().audit.to_text());
     }
     EXPECT_NE(expected_audit[0].find("android.content.Intent.getStringExtra  6"),
@@ -516,7 +495,7 @@ TEST(DeterminismTest, ReportsAreIdenticalAloneBatchedCachedAndServed) {
 
     auto check = [&](std::size_t i, const core::AnalysisReport& report,
                      const std::string& mode) {
-        EXPECT_EQ(normalized(report.to_json()), expected_json[i])
+        EXPECT_EQ(report.to_json().dump_pretty(), expected_json[i])
             << names[i] << " JSON diverged: " << mode;
         EXPECT_EQ(report.audit.to_text(), expected_audit[i])
             << names[i] << " audit diverged: " << mode;
@@ -574,7 +553,6 @@ TEST(DeterminismTest, ReportsAreIdenticalAloneBatchedCachedAndServed) {
                 ASSERT_TRUE(xtest::response_ok(reply)) << pass << at;
                 const text::Json* report = reply.find("report");
                 ASSERT_NE(report, nullptr) << pass << at;
-                // Not normalized: a reply carries the report's content only.
                 EXPECT_EQ(report->dump_pretty(), expected_json[i])
                     << names[i] << " JSON diverged: " << pass << at;
             }

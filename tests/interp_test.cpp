@@ -361,19 +361,6 @@ TEST(Interp, ReaderReadLine) {
     ASSERT_EQ(server.requests.size(), 1u);
 }
 
-TEST(Interp, ResetClearsState) {
-    ProgramHarness h;
-    h.handler("go", EventKind::kOnClick,
-              [](MethodBuilder& mb) { emit_get(mb, cs("http://h/one")); });
-    Program p = h.pb.build();
-    EchoServer server;
-    Interpreter interpreter(p, server);
-    interpreter.fuzz(FuzzMode::kAuto);
-    EXPECT_EQ(interpreter.trace().transactions.size(), 1u);
-    interpreter.reset();
-    EXPECT_EQ(interpreter.trace().transactions.size(), 0u);
-}
-
 TEST(Interp, BudgetStopsEventFiring) {
     // A shared analysis budget clips each event's step allowance and stops
     // firing events once exhausted — without aborting the fuzz run.

@@ -7,7 +7,8 @@
 #   * the failed input becomes a per-file error entry — `error:` line in the
 #     text report, `"error"` member in the --json array — while both healthy
 #     apps still get complete reports;
-#   * stdout is byte-identical at --jobs 1/2/8 (error entries included);
+#   * text and --json stdout are byte-identical at --jobs 1/2/8 (error
+#     entries included);
 #   * --fail-fast truncates the output after the first failed input;
 #   * an app's --audit "Top unmodeled APIs" table is the same alone, in a
 #     batch, and cold or warm through --cache-dir, and a warm batch's
@@ -88,6 +89,14 @@ foreach(f IN LISTS healthy_a healthy_b)
 endforeach()
 
 # --- determinism: stdout byte-identical at --jobs 1/2/8 --------------------
+# Text and --json alike: a report renders its content only.
+execute_process(
+  COMMAND "${EXTRACTOCOL}" --json --jobs 1 ${inputs}
+  RESULT_VARIABLE rc_json_1
+  OUTPUT_VARIABLE json_out_1)
+if(NOT rc_json_1 EQUAL 1)
+  message(FATAL_ERROR "--json --jobs 1 batch must exit 1, got ${rc_json_1}")
+endif()
 foreach(jobs 2 8)
   execute_process(
     COMMAND "${EXTRACTOCOL}" --jobs ${jobs} ${inputs}
@@ -99,20 +108,23 @@ foreach(jobs 2 8)
   if(NOT out_j STREQUAL text_out)
     message(FATAL_ERROR "--jobs ${jobs} stdout diverged from --jobs 1")
   endif()
+  execute_process(
+    COMMAND "${EXTRACTOCOL}" --json --jobs ${jobs} ${inputs}
+    RESULT_VARIABLE rc_j
+    OUTPUT_VARIABLE json_j)
+  if(NOT rc_j EQUAL 1)
+    message(FATAL_ERROR "--json --jobs ${jobs} exit code diverged: ${rc_j}")
+  endif()
+  if(NOT json_j STREQUAL json_out_1)
+    message(FATAL_ERROR "--json --jobs ${jobs} stdout diverged from --jobs 1")
+  endif()
 endforeach()
 
 # --- JSON mode: error member present, array still covers every input -------
-execute_process(
-  COMMAND "${EXTRACTOCOL}" --json --jobs 8 ${inputs}
-  RESULT_VARIABLE rc_json
-  OUTPUT_VARIABLE json_out)
-if(NOT rc_json EQUAL 1)
-  message(FATAL_ERROR "--json batch must exit 1, got ${rc_json}")
-endif()
 foreach(needle "\"error\"" "bad method param count" "poisoned.xapk")
-  string(FIND "${json_out}" "${needle}" pos)
+  string(FIND "${json_out_1}" "${needle}" pos)
   if(pos EQUAL -1)
-    message(FATAL_ERROR "JSON output missing ${needle}:\n${json_out}")
+    message(FATAL_ERROR "JSON output missing ${needle}:\n${json_out_1}")
   endif()
 endforeach()
 

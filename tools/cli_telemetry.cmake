@@ -15,7 +15,9 @@
 #     manifest's "profile" block, and the --profile table of a budget-cut
 #     run is the same at --jobs 1 and 4;
 #   * a warm --cache-dir --progress batch counts hits as done and ends on
-#     N/N apps.
+#     N/N apps;
+#   * --metrics over two inputs prints one section per app and the process
+#     registry once.
 #
 # Expected definitions: EXTRACTOCOL, MAKE_CORPUS, WORK_DIR.
 
@@ -251,6 +253,24 @@ list(GET progress_counts -1 last_count)
 if(NOT last_count STREQUAL "3/3 apps")
   message(FATAL_ERROR "warm --progress must end on 3/3 apps, ended on '${last_count}':\n"
                       "${warm_err}")
+endif()
+
+# --- --metrics: per-app sections, one registry table -----------------------
+execute_process(
+  COMMAND "${EXTRACTOCOL}" --metrics "${healthy_a}" "${healthy_b}"
+  RESULT_VARIABLE rc_metrics
+  OUTPUT_QUIET
+  ERROR_VARIABLE metrics_err)
+if(NOT rc_metrics EQUAL 0)
+  message(FATAL_ERROR "--metrics batch must exit 0, got ${rc_metrics}")
+endif()
+string(REGEX MATCHALL "-- phases --" phase_sections "${metrics_err}")
+string(REGEX MATCHALL "-- registry --" registry_tables "${metrics_err}")
+list(LENGTH phase_sections phase_count)
+list(LENGTH registry_tables registry_count)
+if(NOT phase_count EQUAL 2 OR NOT registry_count EQUAL 1)
+  message(FATAL_ERROR "--metrics over two apps must print 2 phase sections and 1 "
+                      "registry table, got ${phase_count} and ${registry_count}")
 endif()
 
 message(STATUS "cli telemetry: all checks passed")

@@ -24,7 +24,8 @@
 //                          input (in input order — deterministic under
 //                          --jobs; every app is still analyzed)
 //   --metrics              print the per-app statistics line, the per-phase
-//                          timing table and metric counters to stderr
+//                          timing table and metric counters to stderr, then
+//                          the process registry once
 //   --audit                print the analysis-quality report (per-reason
 //                          unknown counts, per-DP outcomes, top unmodeled
 //                          APIs) instead of the transaction table
@@ -250,8 +251,6 @@ void print_metrics(const core::AnalysisReport& report) {
         std::fprintf(stderr, "%-*s  %llu\n", static_cast<int>(width), name.c_str(),
                      static_cast<unsigned long long>(value));
     }
-    std::fprintf(stderr, "-- registry --\n%s",
-                 obs::MetricsRegistry::global().snapshot().to_table().c_str());
 }
 
 }  // namespace
@@ -685,6 +684,11 @@ int main(int argc, char** argv) {
             std::printf("%s", report.to_text().c_str());
         }
         if (metrics) print_metrics(report);
+    }
+    if (metrics) {
+        // The process registry spans the whole batch, so it prints once.
+        std::fprintf(stderr, "-- registry --\n%s",
+                     obs::MetricsRegistry::global().snapshot().to_table().c_str());
     }
     if (as_json && paths.size() > 1) {
         std::printf("%s\n", batch.dump_pretty().c_str());
